@@ -1,9 +1,11 @@
 // Extension comparison bench (beyond the paper's tables; see DESIGN.md):
 //   A. final classifier over the pattern features: SVM vs k-NN vs NB
-//   B. exact vs approximate best-match transform (accuracy + time)
-//   C. Sequitur vs Re-Pair grammar backends (accuracy + candidates)
-//   D. Shapelet Transform vs RPM (the closest related-work method)
-//   E. multi-class medical alarm-type classification
+//   B. Sequitur vs Re-Pair grammar backends (accuracy + candidates)
+//   C. Shapelet Transform vs RPM (the closest related-work method),
+//      C2. the original shapelet tree (Ye & Keogh) vs Fast Shapelets
+//   D. multi-class medical alarm-type classification
+//   E. BOP vs SAX-VSM (tf*idf ablation)
+//   F. rule-density discords vs HOT SAX
 
 #include <chrono>
 #include <cstdio>
@@ -57,22 +59,7 @@ int main() {
     }
   }
 
-  std::printf("\nB. Exact vs approximate best-match transform\n");
-  for (const auto* split : {&gun, &cbf}) {
-    for (bool approx : {false, true}) {
-      core::RpmOptions opt = Fixed(split->train.MinLength() / 4);
-      opt.approximate_matching = approx;
-      const auto t0 = std::chrono::steady_clock::now();
-      core::RpmClassifier clf(opt);
-      clf.Train(split->train);
-      const double err = clf.Evaluate(split->test);
-      const auto t1 = std::chrono::steady_clock::now();
-      std::printf("  %-14s %-7s err=%.4f t=%.3fs\n", split->name.c_str(),
-                  approx ? "approx" : "exact", err, Seconds(t0, t1));
-    }
-  }
-
-  std::printf("\nC. Grammar backend: Sequitur vs Re-Pair\n");
+  std::printf("\nB. Grammar backend: Sequitur vs Re-Pair\n");
   for (const auto* split : {&gun, &cbf}) {
     for (auto [gi, name] :
          {std::pair{grammar::GiAlgorithm::kSequitur, "Sequitur"},
@@ -90,7 +77,7 @@ int main() {
     }
   }
 
-  std::printf("\nD. Shapelet Transform vs RPM\n");
+  std::printf("\nC. Shapelet Transform vs RPM\n");
   for (const auto* split : {&gun, &cbf}) {
     baselines::ShapeletTransform st;
     const auto t0 = std::chrono::steady_clock::now();
@@ -106,7 +93,7 @@ int main() {
                 Seconds(t1, t2));
   }
 
-  std::printf("\nD2. Original shapelet tree (Ye & Keogh) vs Fast "
+  std::printf("\nC2. Original shapelet tree (Ye & Keogh) vs Fast "
               "Shapelets-style descendants\n");
   for (const auto* split : {&gun, &cbf}) {
     baselines::ShapeletTree yk;
@@ -119,7 +106,7 @@ int main() {
                 yk.num_shapelet_nodes());
   }
 
-  std::printf("\nE. Medical alarm-type classification (4 classes)\n");
+  std::printf("\nD. Medical alarm-type classification (4 classes)\n");
   const ts::DatasetSplit types = ts::MakeAbpAlarmTypes(10, 25, 240, 779);
   {
     core::RpmOptions opt = Fixed(60);
@@ -130,7 +117,7 @@ int main() {
                 clf.Evaluate(types.test), clf.patterns().size());
   }
 
-  std::printf("\nF. BOP vs SAX-VSM (tf*idf ablation, shared SAX params)\n");
+  std::printf("\nE. BOP vs SAX-VSM (tf*idf ablation, shared SAX params)\n");
   for (const auto* split : {&gun, &cbf}) {
     baselines::BagOfPatternsOptions bop_opt;
     bop_opt.sax.window = split->train.MinLength() / 4;
@@ -148,7 +135,7 @@ int main() {
                 vsm.Evaluate(split->test));
   }
 
-  std::printf("\nG. Discords: rule-density (GrammarViz-style) vs HOT SAX\n");
+  std::printf("\nF. Discords: rule-density (GrammarViz-style) vs HOT SAX\n");
   {
     // Periodic series with one corrupted cycle; both methods should land
     // on it, HOT SAX being exact and rule-density approximate-but-fast.

@@ -2,17 +2,21 @@
 // evaluation configuration, sweeps them over the synthetic UCR-style
 // suite, and caches per-(dataset, method) error/time results on disk so
 // the table/figure binaries that share a sweep (Table 1, Table 2,
-// Figures 7-8) compute it only once per build.
+// Figures 7-8) compute it only once per build. The cache is keyed on a
+// digest of the running executable, so a rebuilt binary never
+// re-reports another build's results.
 //
 // Environment knobs:
 //   RPM_BENCH_SCALE  size multiplier for the dataset suite (default 1.0)
-//   RPM_BENCH_CACHE  cache file path (default build/bench/.results_cache.csv;
-//                    set to "off" to disable caching)
+//   RPM_BENCH_CACHE  cache file path (default .rpm_bench_results_cache.csv
+//                    in the working directory; set to "off" to disable
+//                    caching)
 
 #ifndef RPM_BENCH_HARNESS_H_
 #define RPM_BENCH_HARNESS_H_
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -28,6 +32,7 @@
 #include "baselines/nn_euclidean.h"
 #include "baselines/rpm_adapter.h"
 #include "baselines/sax_vsm.h"
+#include "ts/dataset_io.h"
 #include "ts/generators.h"
 
 namespace rpm::bench {
@@ -85,6 +90,22 @@ struct Result {
   double classify_seconds = 0.0;
 };
 
+/// CRC-32 of the running executable's bytes as 8 hex digits, or "" when
+/// /proc/self/exe cannot be read (the sweep then runs uncached).
+inline std::string ExecutableDigest() {
+  std::ifstream in("/proc/self/exe", std::ios::binary);
+  if (!in) return "";
+  std::vector<char> buf(std::size_t{1} << 20);
+  std::uint32_t crc = 0;
+  while (in) {
+    in.read(buf.data(), static_cast<std::streamsize>(buf.size()));
+    crc = ts::Crc32(buf.data(), static_cast<std::size_t>(in.gcount()), crc);
+  }
+  char hex[9];
+  std::snprintf(hex, sizeof hex, "%08x", crc);
+  return hex;
+}
+
 inline std::string CachePath() {
   const char* env = std::getenv("RPM_BENCH_CACHE");
   return env != nullptr ? env : ".rpm_bench_results_cache.csv";
@@ -119,6 +140,9 @@ inline void SaveCache(const std::string& path, const std::string& tag,
                       const std::vector<Result>& results) {
   std::ofstream out(path);
   if (!out) return;
+  // Round-trip precision: a cached sweep must print exactly what the
+  // fresh one did (six digits shift Wilcoxon ties, hence p-values).
+  out.precision(17);
   out << "# " << tag << "\n";
   for (const auto& r : results) {
     out << r.dataset << ',' << r.method << ',' << r.error << ','
@@ -128,8 +152,10 @@ inline void SaveCache(const std::string& path, const std::string& tag,
 
 /// Runs every method over every suite dataset (or loads the cached sweep).
 inline std::vector<Result> RunOrLoadSuiteResults() {
-  const std::string tag = "v3 scale=" + std::to_string(BenchScale());
-  const std::string path = CachePath();
+  const std::string digest = ExecutableDigest();
+  const std::string tag =
+      "v3 scale=" + std::to_string(BenchScale()) + " exe=" + digest;
+  const std::string path = digest.empty() ? "off" : CachePath();
   if (path != "off") {
     std::vector<Result> cached = LoadCache(path, tag);
     if (!cached.empty()) {

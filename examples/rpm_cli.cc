@@ -18,7 +18,7 @@
 //   --tau F            similarity-threshold percentile (default 30)
 //   --classifier NAME  svm (default) | knn | nb
 //   --gi NAME          sequitur (default) | repair
-//   --rotation-invariant | --approximate
+//   --rotation-invariant
 //   --budget N         DIRECT evaluation budget (default 24)
 
 #include <cstdio>
@@ -114,8 +114,6 @@ CliOptions ParseOptions(int argc, char** argv, int first) {
       }
     } else if (arg == "--rotation-invariant") {
       cli.rpm.rotation_invariant = true;
-    } else if (arg == "--approximate") {
-      cli.rpm.approximate_matching = true;
     } else {
       std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
       Usage();

@@ -3,17 +3,18 @@
 #   BENCH_kernels.json        micro_kernels --json  (matcher + DTW-cascade
 #                             kernel timings with exactness checksums; the
 #                             matcher rows cover the naive per-call scan,
-#                             the per-pattern batched scan, and the
-#                             SoA pattern-store scan — the latter also as
-#                             one best_match_soa_<tier> row per available
-#                             ISA tier (scalar / avx2 / avx512, forced via
-#                             the RPM_FORCE_ISA override) plus a
-#                             soa_buckets array with per-length-bucket
+#                             the one-pattern call of the bucket kernel,
+#                             and the SoA pattern-store scan — the latter
+#                             also as one best_match_soa_<tier> row per
+#                             available ISA tier (scalar / avx2 / avx512,
+#                             forced via the RPM_FORCE_ISA override) plus
+#                             a soa_buckets array with per-length-bucket
 #                             ns/op, and match_all_seeded / any_below
 #                             rows (the cutoff-seeded scan and the
 #                             first-hit existence sweep behind the
 #                             training hot loops, each also per forced
-#                             tier). checksum_drift and
+#                             tier that has a kernel of its own).
+#                             checksum_drift and
 #                             train_kernel_checksum_drift compare the
 #                             forced tiers' checksums and the run aborts
 #                             unless both are exactly zero)
@@ -54,10 +55,7 @@
 # Usage: scripts/bench_snapshot.sh [build-dir]   (default: build)
 #
 # The sweep honours RPM_BENCH_SCALE / RPM_BENCH_CACHE (see
-# bench/harness.h). By default the cache file lives at the repo root, so
-# re-running the script after a code change without clearing
-# .rpm_bench_results_cache.csv re-reports the cached sweep; pass
-# RPM_BENCH_CACHE=off for a guaranteed fresh measurement.
+# bench/harness.h).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"

@@ -76,9 +76,10 @@ echo "TSan check passed."
 # training-path suites (`training` label: clustering, DTW cascade,
 # training cache, distinct selection — the consumers now routed through
 # the store's seeded scans). The slab kernels read zero-padded 64-byte
-# rows and the across-window dot loops issue unaligned vector loads
-# right up to the last window — ASan catches any read past the arena or
-# the series buffer, UBSan any misaligned-pointer or overflow slip in
+# rows, the one-pattern calls run the same kernels over unpadded
+# PatternContext rows, and the across-window dot loops issue unaligned
+# vector loads right up to the last window — ASan catches any read past
+# the arena, a pattern row or the series buffer, UBSan any misaligned-pointer or overflow slip in
 # the bucket index arithmetic. TSan cannot see either, hence the
 # separate build.
 asan_build_dir="${2:-${repo_root}/build-asan}"

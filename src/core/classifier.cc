@@ -70,8 +70,6 @@ void RpmClassifier::Train(const ts::Dataset& train) {
   // Stage 3: fit the feature-space classifier (training transform is
   // never rotation-augmented; the invariance trick applies at test time).
   TransformOptions train_transform;
-  train_transform.approximate = options_.approximate_matching;
-  train_transform.approx.refine_top_k = options_.approx_refine_top_k;
   train_transform.num_threads = options_.num_threads;
   const ml::FeatureDataset transformed =
       TransformDataset(patterns_, train, train_transform);
@@ -99,8 +97,6 @@ void RpmClassifier::Train(const ts::DatasetReader& archive,
 TransformOptions RpmClassifier::classify_transform_options() const {
   TransformOptions transform;
   transform.rotation_invariant = options_.rotation_invariant;
-  transform.approximate = options_.approximate_matching;
-  transform.approx.refine_top_k = options_.approx_refine_top_k;
   return transform;
 }
 
@@ -201,9 +197,10 @@ void RpmClassifier::Save(std::ostream& out) const {
   }
   out.precision(17);
   out << "RPM-MODEL v1\n";
-  out << "flags " << (options_.rotation_invariant ? 1 : 0) << ' '
-      << (options_.approximate_matching ? 1 : 0) << ' '
-      << options_.approx_refine_top_k << ' '
+  // v1 flags: rotation, approximate, refine_top_k, classifier, knn_k.
+  // Matching is always exact, so the two approximate-matching slots are
+  // "0 10" — the bytes every exact-matching v1 model carries.
+  out << "flags " << (options_.rotation_invariant ? 1 : 0) << " 0 10 "
       << static_cast<int>(options_.final_classifier) << ' '
       << options_.knn_k << '\n';
   out << "majority " << majority_label_ << '\n';
@@ -271,19 +268,24 @@ RpmClassifier RpmClassifier::Load(std::istream& in) {
   std::string tag;
   int rotation = 0;
   int approximate = 0;
+  std::size_t refine_top_k = 0;  // only meaningful to approximate models
   int classifier_kind = 0;
-  if (!(in >> tag >> rotation >> approximate >>
-        clf.options_.approx_refine_top_k >> classifier_kind >>
-        clf.options_.knn_k) ||
+  if (!(in >> tag >> rotation >> approximate >> refine_top_k >>
+        classifier_kind >> clf.options_.knn_k) ||
       tag != "flags") {
     fail("bad flags");
+  }
+  if (approximate != 0) {
+    // Serving such a model with exact matching would silently change its
+    // features, so it is refused rather than reinterpreted.
+    fail("flags field 'approximate' is " + std::to_string(approximate) +
+         ": approximate matching is not supported by this build");
   }
   if (classifier_kind < 0 ||
       classifier_kind > static_cast<int>(ml::FeatureClassifierKind::kNaiveBayes)) {
     fail("corrupt classifier kind " + std::to_string(classifier_kind));
   }
   clf.options_.rotation_invariant = rotation != 0;
-  clf.options_.approximate_matching = approximate != 0;
   clf.options_.final_classifier =
       static_cast<ml::FeatureClassifierKind>(classifier_kind);
   if (!(in >> tag >> clf.majority_label_) || tag != "majority") {

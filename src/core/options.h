@@ -55,11 +55,6 @@ struct RpmOptions {
   /// also match against the test series rotated at its midpoint.
   bool rotation_invariant = false;
 
-  /// Replace the exact best-match scans of the transform with the
-  /// PAA-coarse approximate scan (the Section 5.3 speedup suggestion).
-  bool approximate_matching = false;
-  std::size_t approx_refine_top_k = 10;
-
   ParameterSearch search = ParameterSearch::kDirect;
   /// SAX parameters used when `search == kFixed`.
   sax::SaxOptions fixed_sax;

@@ -11,30 +11,10 @@
 
 namespace rpm::core {
 
-double PatternDistance(const ts::Series& pattern, ts::SeriesView series) {
-  if (pattern.empty() || series.empty()) return 0.0;
-  if (pattern.size() <= series.size()) {
-    return distance::FindBestMatch(pattern, series).distance;
-  }
-  // Degenerate: pattern longer than the series. Compare at series length.
-  ts::Series shrunk = ts::ResampleLinear(pattern, series.size());
-  ts::ZNormalizeInPlace(shrunk);
-  ts::Series z(series.begin(), series.end());
-  ts::ZNormalizeInPlace(z);
-  return distance::NormalizedEuclidean(shrunk, z);
-}
-
-double PatternDistanceRotationInvariant(const ts::Series& pattern,
-                                        ts::SeriesView series) {
-  const double direct = PatternDistance(pattern, series);
-  const ts::Series rotated = ts::RotateAtMidpoint(series);
-  return std::min(direct, PatternDistance(pattern, rotated));
-}
-
 namespace {
 
-// Degenerate case shared with PatternDistance: pattern longer than the
-// series — compare at series length after resampling down.
+// Degenerate case: pattern longer than the series — compare at series
+// length after resampling the pattern down.
 double ShrunkPatternDistance(const ts::Series& pattern,
                              ts::SeriesView series) {
   ts::Series shrunk = ts::ResampleLinear(pattern, series.size());
@@ -46,47 +26,33 @@ double ShrunkPatternDistance(const ts::Series& pattern,
 
 }  // namespace
 
+double PatternDistance(const ts::Series& pattern, ts::SeriesView series) {
+  if (pattern.empty() || series.empty()) return 0.0;
+  if (pattern.size() <= series.size()) {
+    return distance::FindBestMatch(pattern, series).distance;
+  }
+  return ShrunkPatternDistance(pattern, series);
+}
+
+double PatternDistanceRotationInvariant(const ts::Series& pattern,
+                                        ts::SeriesView series) {
+  const double direct = PatternDistance(pattern, series);
+  const ts::Series rotated = ts::RotateAtMidpoint(series);
+  return std::min(direct, PatternDistance(pattern, rotated));
+}
+
 TransformEngine::TransformEngine(
     const std::vector<RepresentativePattern>& patterns,
     const TransformOptions& options)
     : patterns_(&patterns), options_(options) {
-  // The exact scan is the only consumer of the precomputed contexts; the
-  // approximate mode routes through the PAA-coarse scan instead.
-  if (!options_.approximate) {
-    for (const auto& p : patterns) matcher_.Add(p.values);
-  }
-}
-
-// One pattern-to-series distance under the configured matching mode;
-// mirrors the legacy per-call semantics (PatternDistance) exactly.
-double TransformEngine::Distance(std::size_t i,
-                                 const distance::SeriesContext& ctx) const {
-  const ts::Series& pattern = (*patterns_)[i].values;
-  const ts::SeriesView series = ctx.data();
-  if (options_.approximate && pattern.size() <= series.size() &&
-      !pattern.empty()) {
-    return distance::FindBestMatchApprox(pattern, series, options_.approx)
-        .distance;
-  }
-  if (pattern.empty() || series.empty()) return 0.0;
-  if (pattern.size() > series.size()) {
-    return ShrunkPatternDistance(pattern, series);
-  }
-  if (options_.approximate) {
-    // Approximate mode builds no contexts; fall back to the per-call path
-    // (only reachable for the empty-pattern / short-series guards above).
-    return distance::FindBestMatch(pattern, series).distance;
-  }
-  // A pattern longer than the series was handled above, so the batched
-  // scan always reports a found match here — never the unfound sentinel.
-  return matcher_.Match(i, ctx).distance;
+  for (const auto& p : patterns) matcher_.Add(p.values);
 }
 
 double TransformEngine::ResolveMatch(std::size_t i,
                                      const distance::BestMatch& match,
                                      ts::SeriesView series) const {
-  // Same case order as Distance(): the store answers only the in-range
-  // exact scans; the degenerate cells keep the legacy per-call semantics.
+  // Same case order as PatternDistance: the store answers only the
+  // in-range scans; the degenerate cells keep the per-call semantics.
   const ts::Series& pattern = (*patterns_)[i].values;
   if (pattern.empty() || series.empty()) return 0.0;
   if (pattern.size() > series.size()) {
@@ -114,17 +80,7 @@ void TransformEngine::RowInto(ts::SeriesView series, TransformScratch* scratch,
     scratch->rotated = ts::RotateAtMidpoint(series);
     scratch->rotated_ctx.Assign(scratch->rotated);
   }
-  if (options_.approximate) {
-    // Approximate mode has no SoA store (it routes through the PAA-coarse
-    // scan); keep the per-pattern loop over the reused contexts.
-    for (std::size_t i = 0; i < k; ++i) {
-      double d = Distance(i, scratch->ctx);
-      if (rotate) d = std::min(d, Distance(i, scratch->rotated_ctx));
-      row->push_back(d);
-    }
-    return;
-  }
-  // Exact mode: one bucketed pass answers all K patterns per context.
+  // One bucketed pass answers all K patterns per context.
   matcher_.MatchAll(scratch->ctx, &scratch->match_scratch, &scratch->matches);
   if (rotate) {
     matcher_.MatchAll(scratch->rotated_ctx, &scratch->match_scratch,

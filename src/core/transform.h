@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/pattern.h"
-#include "distance/approximate.h"
 #include "distance/matcher.h"
 #include "ml/feature_dataset.h"
 #include "ts/series.h"
@@ -21,10 +20,6 @@ namespace rpm::core {
 struct TransformOptions {
   /// Also match against the midpoint-rotated series (Section 6.1).
   bool rotation_invariant = false;
-  /// Use the PAA-coarse approximate scan instead of the exact one
-  /// (Section 5.3's "approximate matching" speedup).
-  bool approximate = false;
-  distance::ApproxMatchOptions approx;
   /// Worker threads for whole-dataset transforms (deterministic).
   std::size_t num_threads = 1;
 };
@@ -69,10 +64,9 @@ class TransformEngine {
   std::vector<double> Row(ts::SeriesView series) const;
 
   /// Alloc-free form of Row: contexts and match buffers live in
-  /// `scratch`, the row is written into `*row` (cleared first). In exact
-  /// mode all K patterns are matched through one bucketed SoA MatchAll
-  /// pass per context instead of K independent scans; results are
-  /// bit-identical to Row.
+  /// `scratch`, the row is written into `*row` (cleared first). All K
+  /// patterns are matched through one bucketed SoA MatchAll pass per
+  /// context; results are bit-identical to Row.
   void RowInto(ts::SeriesView series, TransformScratch* scratch,
                std::vector<double>* row) const;
 
@@ -81,7 +75,6 @@ class TransformEngine {
   ml::FeatureDataset Apply(const ts::Dataset& data) const;
 
  private:
-  double Distance(std::size_t i, const distance::SeriesContext& ctx) const;
   /// Distance of pattern `i` given its MatchAll result against `series`
   /// (resolves the sentinel/degenerate cases the store cannot answer).
   double ResolveMatch(std::size_t i, const distance::BestMatch& match,

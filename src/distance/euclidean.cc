@@ -62,10 +62,9 @@ double NormalizedEuclideanBounded(ts::SeriesView a, ts::SeriesView b,
 }
 
 BestMatch FindBestMatch(ts::SeriesView pattern, ts::SeriesView haystack) {
-  // Thin wrapper over the batched kernel: the contexts are rebuilt per
-  // call, which is exactly the redundant work BatchMatcher amortizes —
-  // but sharing the kernel keeps per-call and batched results
-  // bit-identical.
+  // The contexts are rebuilt per call, which is exactly the redundant
+  // work BatchMatcher amortizes — but the scan is the same one-pattern
+  // bucket scan, so per-call and batched results are bit-identical.
   const std::size_t n = pattern.size();
   if (n == 0 || haystack.size() < n) return BestMatch{};
   const PatternContext pattern_ctx(pattern);

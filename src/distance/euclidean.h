@@ -54,14 +54,15 @@ struct BestMatch {
 /// Finds the closest match of `pattern` inside `haystack` (Definition
 /// "closest match"): every window of `haystack` of length |pattern| is
 /// z-normalized and compared to the (already z-normalized) pattern under
-/// length-normalized Euclidean distance, with early abandoning against the
-/// best-so-far. Returns an unfound BestMatch when |haystack| < |pattern|
-/// or the pattern is empty.
+/// length-normalized Euclidean distance, with a lower-bound cascade
+/// against the best-so-far. Returns an unfound BestMatch when
+/// |haystack| < |pattern| or the pattern is empty.
 ///
-/// Implemented as a per-call wrapper over the batched kernel
-/// (distance/matcher.h); results are bit-identical to BatchedBestMatch.
-/// Callers scanning many pattern x series pairs should build the contexts
-/// once via BatchMatcher / SeriesContext instead.
+/// Builds a PatternContext and a SeriesContext and runs the pattern-store
+/// scan kernels on them as a one-pattern bucket (BatchedBestMatch,
+/// distance/matcher.h), so results are bit-identical to every batched
+/// path. Callers scanning many pattern x series pairs should build the
+/// contexts once via BatchMatcher / SeriesContext instead.
 BestMatch FindBestMatch(ts::SeriesView pattern, ts::SeriesView haystack);
 
 /// The pre-batching reference implementation (per-call sort, rolling

@@ -1,6 +1,6 @@
-// Internal header: the canonical dot-product kernels shared by the
-// per-pattern scan (matcher.cc) and the SoA pattern store
-// (pattern_store.cc). Not part of the public API.
+// Internal header: the canonical dot-product kernels behind the scan
+// kernels of the SoA pattern store (pattern_store.cc). Not part of the
+// public API.
 //
 // THE PINNED ACCUMULATION ORDER. Every distance the engine reports
 // flows through one dot product whose summation order is fixed across
@@ -75,11 +75,10 @@ inline double DotBase(const double* a, const double* b, std::size_t n) {
 #if defined(RPM_DOT_AVX2_DISPATCH)
 // One ymm register holds the same four partial sums {s0, s1, s2, s3}, so
 // the per-lane accumulation and the final combine are identical to the
-// base path — only the instruction count halves. always_inline keeps the
-// AVX2 scan free of per-window call overhead; legal because every direct
-// caller is itself compiled for AVX2 (or a superset).
-__attribute__((target("avx2"), always_inline)) inline double DotAvx2Impl(
-    const double* a, const double* b, std::size_t n) {
+// base path — only the instruction count halves.
+__attribute__((target("avx2"))) inline double DotAvx2(const double* a,
+                                                      const double* b,
+                                                      std::size_t n) {
   __m256d acc = _mm256_setzero_pd();  // lanes {s0, s1, s2, s3}
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -92,18 +91,10 @@ __attribute__((target("avx2"), always_inline)) inline double DotAvx2Impl(
   return (s[0] + s[1]) + (s[2] + s[3]);
 }
 
-// Out-of-line wrapper for baseline-ISA callers, which cannot inline AVX2
-// code into themselves.
-__attribute__((target("avx2"))) inline double DotAvx2(const double* a,
-                                                      const double* b,
-                                                      std::size_t n) {
-  return DotAvx2Impl(a, b, n);
-}
-
 // Length-specialized form: `kBlocks` stride-4 iterations are known at
 // compile time, so the body unrolls completely — no loop-count branches
 // in the hot path of short-pattern buckets. Same lanes, same tail rule,
-// same combine tree as DotAvx2Impl, hence bit-identical.
+// same combine tree as DotAvx2, hence bit-identical.
 template <int kBlocks>
 __attribute__((target("avx2"))) inline double DotAvx2Fixed(const double* a,
                                                            const double* b,

@@ -1,12 +1,8 @@
 #include "distance/matcher.h"
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
 #include <utility>
 
-#include "distance/isa_dispatch.h"
-#include "distance/kernel_common.h"
 #include "distance/pattern_store.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -48,18 +44,18 @@ struct MatcherMetrics {
   }
 };
 
-// The canonical dot kernels (pinned accumulation order shared with the
-// SoA pattern store) live in kernel_common.h; this dispatcher picks the
-// vector form whenever the runtime tier allows it. Forcing the scalar
-// tier (RPM_FORCE_ISA=scalar / ForceIsaTier) therefore pins the whole
-// per-pattern scan, dots included, to baseline ISA.
-inline double Dot(const double* a, const double* b, std::size_t n) {
-#if defined(RPM_DOT_AVX2_DISPATCH)
-  if (CurrentIsaTier() >= IsaTier::kAvx2) {
-    return internal::DotAvx2(a, b, n);
-  }
-#endif
-  return internal::DotBase(a, b, n);
+// Candidate windows a scan over this pattern/series pair covers.
+std::size_t ScanWindows(const PatternContext& pattern,
+                        const SeriesContext& series) {
+  return pattern.empty() || pattern.size() > series.size()
+             ? 0
+             : series.size() - pattern.size() + 1;
+}
+
+void CountScan(const PatternContext& pattern, const SeriesContext& series) {
+  const MatcherMetrics& m = MatcherMetrics::Get();
+  m.scans->Increment();
+  m.windows->Increment(ScanWindows(pattern, series));
 }
 
 }  // namespace
@@ -110,285 +106,22 @@ void SeriesContext::WindowMoments(std::size_t pos, std::size_t len,
   *inv_sigma = 1.0 / sigma;
 }
 
-namespace {
-
-#if defined(RPM_DOT_AVX2_DISPATCH)
-// AVX2 variant of the scan body for n >= 2: window moments and the
-// endpoint lower bound are computed for four consecutive positions per
-// iteration. Per-lane arithmetic applies exactly the operations of the
-// scalar loop in the same order (explicit mul/add/sub/sqrt intrinsics,
-// never FMA), so every lane value is bit-identical to what the scalar
-// code computes for that position. The vector prune uses the best-so-far
-// as of the block start — a threshold at least as permissive as the
-// scalar loop's running one — and every surviving lane is re-gated with
-// the scalar rule (`lb >= best_sq * sig2` with the *current* best)
-// before its dot product, so the sequence of best-updates, and hence the
-// result, is identical to the scalar scan by induction.
-__attribute__((target("avx2"))) BestMatch BestMatchScanAvx2(
-    const PatternContext& pattern, const SeriesContext& series,
-    double seed_sq, bool first_hit) {
-  BestMatch best;
-  const std::size_t n = pattern.size();
-  const std::size_t m = series.size();
-
-  const double* hay = series.data().data();
-  const double* prefix = series.PrefixData();
-  const double* prefix_sq = series.PrefixSqData();
-  const double* pat = pattern.values.data();
-  const double nd = static_cast<double>(n);
-  const double inv_n = pattern.inv_n;
-  const double p_first = pat[0];
-  const double p_last = pat[n - 1];
-  const double sum_p = pattern.sum;
-  const double psq = pattern.sum_sq;
-  double best_sq = seed_sq;
-
-  const __m256d vinv_n = _mm256_set1_pd(inv_n);
-  const __m256d vzero = _mm256_setzero_pd();
-  const __m256d vone = _mm256_set1_pd(1.0);
-  const __m256d vflat = _mm256_set1_pd(ts::kFlatThreshold);
-  const __m256d vp_first = _mm256_set1_pd(p_first);
-  const __m256d vp_last = _mm256_set1_pd(p_last);
-
-  std::size_t pos = 0;
-  for (; pos + 3 + n <= m; pos += 4) {
-    // Moments for positions pos..pos+3: consecutive windows read
-    // consecutive prefix entries, so the loads are plain unaligned loads.
-    const __m256d vsum = _mm256_sub_pd(_mm256_loadu_pd(prefix + pos + n),
-                                       _mm256_loadu_pd(prefix + pos));
-    const __m256d vsum_sq =
-        _mm256_sub_pd(_mm256_loadu_pd(prefix_sq + pos + n),
-                      _mm256_loadu_pd(prefix_sq + pos));
-    const __m256d vmu = _mm256_mul_pd(vsum, vinv_n);
-    const __m256d vvar = _mm256_max_pd(
-        vzero, _mm256_sub_pd(_mm256_mul_pd(vsum_sq, vinv_n),
-                             _mm256_mul_pd(vmu, vmu)));
-    __m256d vsigma = _mm256_sqrt_pd(vvar);
-    // Flat-window rule per lane: sigma < threshold -> 1.0.
-    vsigma = _mm256_blendv_pd(vsigma, vone,
-                              _mm256_cmp_pd(vsigma, vflat, _CMP_LT_OQ));
-    const __m256d vsig2 = _mm256_mul_pd(vsigma, vsigma);
-    const __m256d vthresh = _mm256_mul_pd(_mm256_set1_pd(best_sq), vsig2);
-
-    const __m256d vd_first = _mm256_sub_pd(
-        _mm256_sub_pd(_mm256_loadu_pd(hay + pos), vmu),
-        _mm256_mul_pd(vp_first, vsigma));
-    __m256d vlb = _mm256_mul_pd(vd_first, vd_first);
-    const __m256d vd_last = _mm256_sub_pd(
-        _mm256_sub_pd(_mm256_loadu_pd(hay + pos + n - 1), vmu),
-        _mm256_mul_pd(vp_last, vsigma));
-    vlb = _mm256_add_pd(vlb, _mm256_mul_pd(vd_last, vd_last));
-
-    const int keep = _mm256_movemask_pd(
-        _mm256_cmp_pd(vlb, vthresh, _CMP_LT_OQ));
-    if (keep == 0) continue;  // Whole block pruned — the common case.
-
-    alignas(32) double mu_l[4];
-    alignas(32) double sigma_l[4];
-    alignas(32) double sig2_l[4];
-    alignas(32) double sum_sq_l[4];
-    alignas(32) double lb_l[4];
-    _mm256_store_pd(mu_l, vmu);
-    _mm256_store_pd(sigma_l, vsigma);
-    _mm256_store_pd(sig2_l, vsig2);
-    _mm256_store_pd(sum_sq_l, vsum_sq);
-    _mm256_store_pd(lb_l, vlb);
-    for (int lane = 0; lane < 4; ++lane) {
-      if ((keep & (1 << lane)) == 0) continue;
-      // Scalar re-gate with the *current* best: the vector mask was
-      // computed against the block-start best, which may have improved.
-      if (lb_l[lane] >= best_sq * sig2_l[lane]) continue;
-      const std::size_t p = pos + static_cast<std::size_t>(lane);
-      const double dot = internal::DotAvx2Impl(hay + p, pat, n);
-      const double csq =
-          std::max(0.0, sum_sq_l[lane] - nd * mu_l[lane] * mu_l[lane]);
-      const double d2s = std::max(
-          0.0, csq - 2.0 * sigma_l[lane] * (dot - mu_l[lane] * sum_p) +
-                   psq * sig2_l[lane]);
-      if (d2s < best_sq * sig2_l[lane]) {
-        best_sq = d2s / sig2_l[lane];
-        best.position = p;
-        if (first_hit) {
-          best.distance = std::sqrt(best_sq * inv_n);
-          return best;
-        }
-      }
-    }
-  }
-
-  // Scalar tail: the last < 4 positions, same code as the scalar scan.
-  for (; pos + n <= m; ++pos) {
-    const double sum = series.WindowSum(pos, n);
-    const double sum_sq = series.WindowSumSq(pos, n);
-    double mu = 0.0;
-    double sigma = 0.0;
-    ts::WindowMomentsFromSums(sum, sum_sq, inv_n, &mu, &sigma);
-    const double sig2 = sigma * sigma;
-    const double thresh = best_sq * sig2;
-    const double d_first = (hay[pos] - mu) - p_first * sigma;
-    double lb = d_first * d_first;
-    const double d_last = (hay[pos + n - 1] - mu) - p_last * sigma;
-    lb += d_last * d_last;
-    if (lb >= thresh) continue;
-    const double dot = Dot(hay + pos, pat, n);
-    const double csq = std::max(0.0, sum_sq - nd * mu * mu);
-    const double d2s = std::max(
-        0.0, csq - 2.0 * sigma * (dot - mu * sum_p) + psq * sig2);
-    if (d2s < thresh) {
-      best_sq = d2s / sig2;
-      best.position = pos;
-      if (first_hit) break;
-    }
-  }
-  if (best.position != BestMatch::npos) {
-    best.distance = std::sqrt(best_sq * inv_n);
-  }
-  return best;
-}
-#endif  // RPM_DOT_AVX2_DISPATCH
-
-// Shared scan for the plain and cutoff-seeded entry points. `seed_sq` is
-// the initial best-so-far in length-scaled squared space (n * distance^2);
-// +inf reproduces the exhaustive scan. Returns the sentinel when no
-// window improved on the seed. With `first_hit` the scan returns at the
-// first window that improves on the seed — only meaningful together
-// with a finite seed, for callers that test existence rather than read
-// the minimum.
-BestMatch BestMatchScan(const PatternContext& pattern,
-                        const SeriesContext& series, double seed_sq,
-                        bool first_hit = false) {
-  BestMatch best;  // Explicit sentinel: npos position, infinite distance.
-  const std::size_t n = pattern.size();
-  if (n == 0 || series.size() < n) return best;
-  if (n == 1) {
-    // Every single-point window is exactly flat (z-value 0), so all
-    // positions tie at distance |p| and the first window wins — going
-    // through the prefix sums would instead see cancellation noise.
-    const double p = pattern.values[0];
-    if (!(p * p < seed_sq)) return best;
-    best.position = 0;
-    best.distance = std::sqrt(p * p * pattern.inv_n);
-    return best;
-  }
-#if defined(RPM_DOT_AVX2_DISPATCH)
-  // Bit-identical AVX2 body (see BestMatchScanAvx2); n >= 2 holds here.
-  // The AVX-512 tier also lands here: the per-pattern scan has no
-  // 512-bit body (the window-major bucket kernels in pattern_store.cc
-  // are where 8-wide blocks pay off), and AVX-512 hosts run AVX2 code.
-  if (CurrentIsaTier() >= IsaTier::kAvx2) {
-    return BestMatchScanAvx2(pattern, series, seed_sq, first_hit);
-  }
-#endif
-
-  const double* hay = series.data().data();
-  const double* pat = pattern.values.data();
-  const double nd = static_cast<double>(n);
-  const double inv_n = pattern.inv_n;
-  const double p_first = pat[0];
-  const double p_last = pat[n - 1];
-  const double sum_p = pattern.sum;
-  const double psq = pattern.sum_sq;
-  double best_sq = seed_sq;
-
-  for (std::size_t pos = 0; pos + n <= series.size(); ++pos) {
-    const double sum = series.WindowSum(pos, n);
-    const double sum_sq = series.WindowSumSq(pos, n);
-    // Shared moments recurrence, including the flat-window rule (sigma
-    // below the threshold means mean-center only, the same convention
-    // the legacy kernel applies).
-    double mu = 0.0;
-    double sigma = 0.0;
-    ts::WindowMomentsFromSums(sum, sum_sq, inv_n, &mu, &sigma);
-    const double sig2 = sigma * sigma;
-    // All comparisons happen in sigma-scaled space (everything multiplied
-    // by sigma^2), which keeps the whole window free of divisions; the
-    // one division below runs only when a window improves the best.
-    const double thresh = best_sq * sig2;
-
-    // Lower-bound cascade: the first/last-point terms alone already bound
-    // the window's distance from below (all terms of the squared sum are
-    // non-negative), so pruned windows cost ~8 flops and never touch the
-    // other n-2 points.
-    const double d_first = (hay[pos] - mu) - p_first * sigma;
-    double lb = d_first * d_first;
-    if (n >= 2) {
-      const double d_last = (hay[pos + n - 1] - mu) - p_last * sigma;
-      lb += d_last * d_last;
-    }
-    if (lb >= thresh) continue;
-
-    // Surviving windows: closed-form z-normalized distance. Expanding
-    //   sigma^2 * sum((x - mu)/sigma - p)^2
-    // gives  csq - 2*sigma*(dot - mu*sum_p) + psq*sigma^2  with
-    // csq = sum_sq - n*mu^2, so the only O(n) work is one sequential
-    // dot product of raw window values against the pattern — branch-free
-    // and SIMD-friendly, unlike a per-point z-normalize-and-abandon loop.
-    const double dot = Dot(hay + pos, pat, n);
-    const double csq = std::max(0.0, sum_sq - nd * mu * mu);
-    const double d2s = std::max(
-        0.0, csq - 2.0 * sigma * (dot - mu * sum_p) + psq * sig2);
-    if (d2s < thresh) {
-      best_sq = d2s / sig2;
-      best.position = pos;
-      if (first_hit) break;
-    }
-  }
-  if (best.position != BestMatch::npos) {
-    best.distance = std::sqrt(best_sq * inv_n);
-  }
-  return best;
-}
-
-// Candidate windows a scan over this pattern/series pair covers.
-std::size_t ScanWindows(const PatternContext& pattern,
-                        const SeriesContext& series) {
-  return pattern.empty() || pattern.size() > series.size()
-             ? 0
-             : series.size() - pattern.size() + 1;
-}
-
-void CountScan(const PatternContext& pattern, const SeriesContext& series) {
-  const MatcherMetrics& m = MatcherMetrics::Get();
-  m.scans->Increment();
-  m.windows->Increment(ScanWindows(pattern, series));
-}
-
-}  // namespace
-
 BestMatch BatchedBestMatch(const PatternContext& pattern,
                            const SeriesContext& series) {
-  CountScan(pattern, series);
-  return BestMatchScan(pattern, series,
-                       std::numeric_limits<double>::infinity());
+  return BatchedBestMatch(pattern, series,
+                          std::numeric_limits<double>::infinity());
 }
 
 BestMatch BatchedBestMatch(const PatternContext& pattern,
                            const SeriesContext& series, double cutoff) {
   CountScan(pattern, series);
-  if (std::isinf(cutoff)) return BestMatchScan(pattern, series, cutoff);
-  // Seed in the scan's length-scaled squared space: distance < cutoff
-  // iff n * distance^2 < n * cutoff^2 (the scan compares the exact same
-  // accumulated quantity), so only provably-not-better windows are
-  // skipped.
-  const double seed_sq =
-      cutoff * cutoff * static_cast<double>(pattern.size());
-  return BestMatchScan(pattern, series, seed_sq);
+  return PatternStore::MatchOne(pattern, series, cutoff);
 }
 
 bool BatchedMatchBelow(const PatternContext& pattern,
                        const SeriesContext& series, double cutoff) {
   CountScan(pattern, series);
-  if (std::isinf(cutoff)) {
-    return BestMatchScan(pattern, series, cutoff).position !=
-           BestMatch::npos;
-  }
-  // A window improves on the cutoff seed iff its distance is < cutoff,
-  // so the first improvement already decides the predicate — no need to
-  // keep scanning for the minimum like the seeded best-match does.
-  const double seed_sq =
-      cutoff * cutoff * static_cast<double>(pattern.size());
-  return BestMatchScan(pattern, series, seed_sq, /*first_hit=*/true)
-             .position != BestMatch::npos;
+  return PatternStore::BelowOne(pattern, series, cutoff);
 }
 
 BatchMatcher::BatchMatcher() = default;

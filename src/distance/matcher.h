@@ -2,30 +2,25 @@
 // contexts for the z-normalized closest-match scan (Section 2.1,
 // Section 5.3 early abandoning).
 //
-// The per-call FindBestMatch kernel re-derives two things on every single
-// pattern x series invocation: the pattern's largest-|z| early-abandon
-// ordering (an O(n log n) sort) and the haystack's rolling window
-// moments. The transform stage calls that kernel K x |dataset| times —
-// and parameter selection repeats the transform for every DIRECT combo x
-// split — so the redundant work dominates end-to-end runtime.
-//
-// This engine splits the state by lifetime:
-//  * PatternContext — the z-normalized pattern, its moments, and its
-//    end-point values, computed once per pattern and reused against every
-//    series. (The closed-form kernel never walks points in sorted order,
-//    so no per-pattern sort exists anywhere anymore.)
+// A per-call scan would re-derive the haystack's window moments on every
+// pattern x series pair; the transform stage runs K x |dataset| such
+// pairs, and parameter selection repeats the transform for every DIRECT
+// combo x split. The engine therefore splits the state by lifetime:
+//  * PatternContext — the z-normalized pattern, its sums, computed once
+//    per pattern and reused against every series.
 //  * SeriesContext — prefix-sum / prefix-sum-of-squares arrays over the
 //    haystack, so the mean and stddev of *any* window of *any* length
 //    come from two O(1) lookups; built once per series and shared by all
 //    patterns regardless of their lengths.
-//  * BatchedBestMatch — the scan itself, with a cheap first/last-point
-//    lower bound cascaded before the full early-abandon loop: windows
-//    whose two end-point terms already exceed the best-so-far are
-//    skipped without touching the other n-2 points.
+//  * BatchMatcher — a pattern set matched against many series through
+//    the length-bucketed SoA store (pattern_store.h).
 //
-// FindBestMatch (distance/euclidean.h) is now a thin wrapper that builds
-// both contexts on the fly, so per-call and batched paths share one
-// kernel and return bit-identical results.
+// The scan itself lives in pattern_store.cc and nowhere else: a
+// closed-form z-normalized distance with a first/last-point lower bound
+// cascaded before each window's dot product. The one-pattern calls
+// below (and FindBestMatch, distance/euclidean.h, which builds both
+// contexts on the fly) run it as a one-pattern bucket, so per-call,
+// MatchAll and seeded/existence results are bit-identical.
 
 #ifndef RPM_DISTANCE_MATCHER_H_
 #define RPM_DISTANCE_MATCHER_H_
@@ -94,21 +89,13 @@ class SeriesContext {
 
   /// Mean and inverse stddev of the window [pos, pos+len) in O(1).
   /// Flat windows (stddev < ts::kFlatThreshold) get inv_sigma = 1, the
-  /// same mean-center-only rule the per-call kernel applies.
+  /// same mean-center-only rule the scan kernels apply.
   /// Precondition: pos + len <= size(), len > 0.
   void WindowMoments(std::size_t pos, std::size_t len, double* mu,
                      double* inv_sigma) const;
 
-  /// Sum of values / squared values over [pos, pos+len) in O(1).
-  double WindowSum(std::size_t pos, std::size_t len) const {
-    return prefix_[pos + len] - prefix_[pos];
-  }
-  double WindowSumSq(std::size_t pos, std::size_t len) const {
-    return prefix_sq_[pos + len] - prefix_sq_[pos];
-  }
-
-  /// Raw prefix arrays (size() + 1 entries each) for kernels that batch
-  /// window-moment computation across consecutive positions.
+  /// Raw prefix arrays (size() + 1 entries each) for the scan kernels,
+  /// which batch window-moment computation across consecutive positions.
   const double* PrefixData() const { return prefix_.data(); }
   const double* PrefixSqData() const { return prefix_sq_.data(); }
 
@@ -152,7 +139,7 @@ bool BatchedMatchBelow(const PatternContext& pattern,
 /// (pattern_store.h): each bucket scans the series window-major so one
 /// window's moments are shared by every same-length pattern, with
 /// scalar/AVX2/AVX-512 kernels under the runtime ISA dispatcher
-/// (isa_dispatch.h). Results are bit-identical to per-pattern Match on
+/// (isa_dispatch.h). Results are bit-identical to one-pattern Match on
 /// every tier. The store is rebuilt on first MatchAll after an Add;
 /// concurrent first-builds are serialized internally, so MatchAll stays
 /// safe to call from parallel transform workers.

@@ -19,16 +19,34 @@ constexpr std::size_t kNpos = BestMatch::npos;
 // a 64-byte boundary.
 std::size_t PaddedLength(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
-// Everything one bucket scan needs, flattened so the per-ISA kernels
-// share a single signature. `best_sq` / `best_pos` are the per-pattern
-// running state (scan squared space / window position), updated in
-// place; both are `count` entries.
+// A distance-space cutoff as a seed in the scans' length-scaled squared
+// space: distance < cutoff iff n * distance^2 < n * cutoff^2, so only
+// provably-not-better windows are skipped. Infinities pass through
+// sign-preserved (+inf = unseeded scan, -inf = nothing qualifies).
+double SeedSq(double cutoff, std::size_t n) {
+  return std::isinf(cutoff) ? cutoff
+                            : cutoff * cutoff * static_cast<double>(n);
+}
+
+// Everything one scan needs, flattened so the per-ISA kernels share a
+// single signature. The inputs describe `count` same-length pattern
+// rows against one series (filled by ScanArgs); the state belongs to the
+// scan kind:
+//   * best match — `best_sq` / `best_pos` are the per-pattern running
+//     best (scan squared space / window position), `count` entries
+//     each, updated in place;
+//   * existence — the threshold seed `seed_sq` (tau^2 * n) is uniform
+//     and never improves, so a pattern is simply decided the first time
+//     a window passes both gates. `hit` is one 0/1 flag per pattern;
+//     `*remaining` counts still-undecided patterns so the sweep stops
+//     once the whole bucket is decided; `first_hit` makes the sweep stop
+//     at the first hit of ANY pattern (aggregate existence mode).
 struct BucketScan {
   const double* hay;
   const double* prefix;
   const double* prefix_sq;
   std::size_t m;  // series length
-  std::size_t n;  // pattern length (>= 2 here; 1 and 0 are special-cased)
+  std::size_t n;  // pattern length (>= 2 inside the kernels, see RunScan)
   double inv_n;
   const double* slab;  // first pattern row
   std::size_t stride;  // row stride in doubles
@@ -37,26 +55,64 @@ struct BucketScan {
   const double* p_last;
   const double* p_sum;
   const double* p_sum_sq;
-  internal::DotFn dot;
-  double* best_sq;
-  std::size_t* best_pos;
+  internal::DotFn dot;  // DotBase unless RunScan picks the tier's vector dot
+
+  double* best_sq = nullptr;
+  std::size_t* best_pos = nullptr;
+
+  double seed_sq = 0.0;
+  std::uint8_t* hit = nullptr;
+  std::size_t* remaining = nullptr;
+  bool first_hit = false;
 };
 
-// Scalar bucket kernel, starting at window `pos`: the reference body the
-// vector tiers must reproduce bit for bit, and the tail handler for
-// their trailing < lane-width positions. Window-major: each window's
-// moments and (window - mu) endpoint terms are computed once and shared
-// by every pattern in the bucket; per-pattern decisions follow exactly
-// the per-pattern scalar scan (matcher.cc BestMatchScan), in the same
-// window order, so the sequence of best updates is identical.
+// The one place scan inputs are filled: `count` rows of length n >= 1,
+// `stride` doubles apart from `slab`, with one first/last value and one
+// sum / squared sum per row — a store bucket, or a single
+// PatternContext as a count = 1 bucket over its own row and sums.
+BucketScan ScanArgs(const SeriesContext& series, std::size_t n,
+                    const double* slab, std::size_t stride,
+                    std::size_t count, const double* first,
+                    const double* last, const double* sum,
+                    const double* sum_sq) {
+  BucketScan a;
+  a.hay = series.data().data();
+  a.prefix = series.PrefixData();
+  a.prefix_sq = series.PrefixSqData();
+  a.m = series.size();
+  a.n = n;
+  a.inv_n = 1.0 / static_cast<double>(n);
+  a.slab = slab;
+  a.stride = stride;
+  a.count = count;
+  a.p_first = first;
+  a.p_last = last;
+  a.p_sum = sum;
+  a.p_sum_sq = sum_sq;
+  a.dot = &internal::DotBase;
+  return a;
+}
+
+// Scalar bucket kernel, starting at window `pos`: the bit-exact
+// reference every vector tier is swept against, and the tail handler
+// for their trailing < lane-width positions. Window-major: each
+// window's moments and (window - mu) endpoint terms are computed once
+// and shared by every pattern in the bucket; the per-pattern gates are
+// applied in window order, so each pattern's sequence of best updates
+// does not depend on which other patterns share its bucket.
 void ScanBucketScalarFrom(const BucketScan& a, std::size_t pos) {
   const double nd = static_cast<double>(a.n);
   for (; pos + a.n <= a.m; ++pos) {
     const double sum = a.prefix[pos + a.n] - a.prefix[pos];
     const double sum_sq = a.prefix_sq[pos + a.n] - a.prefix_sq[pos];
+    // Shared moments recurrence, including the flat-window rule (sigma
+    // below the threshold means mean-center only).
     double mu = 0.0;
     double sigma = 0.0;
     ts::WindowMomentsFromSums(sum, sum_sq, a.inv_n, &mu, &sigma);
+    // All comparisons happen in sigma-scaled space (everything
+    // multiplied by sigma^2), which keeps the window free of divisions;
+    // the one division below runs only when a window improves the best.
     const double sig2 = sigma * sigma;
     // Shared endpoint terms: (hay[pos] - mu) rounds identically whether
     // hoisted here or recomputed per pattern.
@@ -64,11 +120,20 @@ void ScanBucketScalarFrom(const BucketScan& a, std::size_t pos) {
     const double w_l = a.hay[pos + a.n - 1] - mu;
     for (std::size_t p = 0; p < a.count; ++p) {
       const double thresh = a.best_sq[p] * sig2;
+      // Lower-bound cascade: the first/last-point terms alone bound the
+      // window's distance from below (all terms of the squared sum are
+      // non-negative), so pruned windows never touch the other n-2
+      // points.
       const double d_first = w_f - a.p_first[p] * sigma;
       double lb = d_first * d_first;
       const double d_last = w_l - a.p_last[p] * sigma;
       lb += d_last * d_last;
       if (lb >= thresh) continue;
+      // Surviving windows: closed-form z-normalized distance. Expanding
+      //   sigma^2 * sum((x - mu)/sigma - p)^2
+      // gives  csq - 2*sigma*(dot - mu*sum_p) + psq*sigma^2  with
+      // csq = sum_sq - n*mu^2, so the only O(n) work is one dot product
+      // of raw window values against the pattern row.
       const double dot = a.dot(a.hay + pos, a.slab + p * a.stride, a.n);
       const double csq = std::max(0.0, sum_sq - nd * mu * mu);
       const double d2s = std::max(
@@ -82,41 +147,13 @@ void ScanBucketScalarFrom(const BucketScan& a, std::size_t pos) {
   }
 }
 
-// Everything one existence scan over a bucket needs. Unlike BucketScan
-// there is no per-pattern running best: the threshold seed is uniform
-// (tau^2 * n) and never improves — a pattern is simply decided the
-// first time a window passes both gates. `hit` is one 0/1 flag per
-// pattern; `*remaining` counts still-undecided patterns so the sweep
-// stops once the whole bucket is decided; `first_hit` makes the sweep
-// stop at the first hit of ANY pattern (aggregate existence mode).
-struct BelowScan {
-  const double* hay;
-  const double* prefix;
-  const double* prefix_sq;
-  std::size_t m;  // series length
-  std::size_t n;  // pattern length (>= 2 here; 1 and 0 are special-cased)
-  double inv_n;
-  const double* slab;  // first pattern row
-  std::size_t stride;  // row stride in doubles
-  std::size_t count;   // patterns in the bucket
-  const double* p_first;
-  const double* p_last;
-  const double* p_sum;
-  const double* p_sum_sq;
-  internal::DotFn dot;
-  double seed_sq;  // tau^2 * n (sign-preserved infinities pass through)
-  std::uint8_t* hit;
-  std::size_t* remaining;
-  bool first_hit;
-};
-
 // Scalar existence kernel, starting at window `pos`. Decision-identical
-// to the first-hit seeded per-pattern scan (matcher.cc BestMatchScan
-// with first_hit): that scan stops at its first improvement, so every
-// threshold it ever tests is seed-derived — exactly `seed_sq * sig2`
-// here — and "some window passes both gates" does not depend on sweep
-// order, so deciding window-major decides identically.
-void ScanBucketBelowScalarFrom(const BelowScan& a, std::size_t pos) {
+// to a best-match scan seeded with `seed_sq` that stops at its first
+// improvement: every threshold that scan ever tests is seed-derived —
+// exactly `seed_sq * sig2` here — and "some window passes both gates"
+// does not depend on sweep order, so deciding window-major decides
+// identically.
+void ScanBucketBelowScalarFrom(const BucketScan& a, std::size_t pos) {
   const double nd = static_cast<double>(a.n);
   for (; pos + a.n <= a.m && *a.remaining > 0; ++pos) {
     const double sum = a.prefix[pos + a.n] - a.prefix[pos];
@@ -156,7 +193,7 @@ void ScanBucketBelowScalarFrom(const BelowScan& a, std::size_t pos) {
 
 #if defined(RPM_DOT_AVX2_DISPATCH)
 
-// AVX2 bucket kernel: four window positions per iteration. The block's
+// AVX2 kernels: four window positions per iteration. The block's
 // moments, endpoint terms and csq are computed once per iteration
 // (per-lane arithmetic identical to the scalar body, explicit
 // mul/add/sub/sqrt, never FMA) and reused by every pattern. The dot
@@ -165,136 +202,138 @@ void ScanBucketBelowScalarFrom(const BelowScan& a, std::size_t pos) {
 // the broadcast pattern value row[i], accumulated into partial-sum
 // vector v(i mod 4) — each lane therefore replays the canonical
 // four-partial accumulation order (kernel_common.h) element for element,
-// so the per-lane dot is bit-identical to DotBase on that window. A dot
-// has no side effects, so whenever any lane survives the block-start
-// prune the kernel computes all four lanes' distances; the best-update
-// sweep then applies the scalar loop's exact gates (endpoint lower
-// bound, then d2s < thresh, both against the *current* best) in window
-// order, so the per-pattern sequence of best updates is identical to the
-// scalar body's.
-__attribute__((target("avx2"))) void ScanBucketAvx2(const BucketScan& a) {
-  const std::size_t n = a.n;
-  const std::size_t m = a.m;
-  const __m256d vinv_n = _mm256_set1_pd(a.inv_n);
-  const __m256d vnd = _mm256_set1_pd(static_cast<double>(n));
-  const __m256d vzero = _mm256_setzero_pd();
-  const __m256d vone = _mm256_set1_pd(1.0);
-  const __m256d vtwo = _mm256_set1_pd(2.0);
-  const __m256d vflat = _mm256_set1_pd(ts::kFlatThreshold);
+// so the per-lane dot is bit-identical to DotBase on that window.
 
+// Per-block window state shared by every pattern in the bucket, with
+// the scalar body's expression trees (see ScanBucketScalarFrom).
+struct Block256 {
+  __m256d vmu;
+  __m256d vsigma;
+  __m256d vsig2;
+  __m256d vw_f;
+  __m256d vw_l;
+  __m256d vcsq;
+};
+
+__attribute__((target("avx2"), always_inline)) inline Block256 LoadBlock256(
+    const BucketScan& a, std::size_t pos, __m256d vinv_n, __m256d vnd) {
+  const __m256d vzero = _mm256_setzero_pd();
+  const std::size_t n = a.n;
+  Block256 b;
+  const __m256d vsum = _mm256_sub_pd(_mm256_loadu_pd(a.prefix + pos + n),
+                                     _mm256_loadu_pd(a.prefix + pos));
+  const __m256d vsum_sq =
+      _mm256_sub_pd(_mm256_loadu_pd(a.prefix_sq + pos + n),
+                    _mm256_loadu_pd(a.prefix_sq + pos));
+  b.vmu = _mm256_mul_pd(vsum, vinv_n);
+  const __m256d vvar = _mm256_max_pd(
+      vzero, _mm256_sub_pd(_mm256_mul_pd(vsum_sq, vinv_n),
+                           _mm256_mul_pd(b.vmu, b.vmu)));
+  const __m256d vsigma = _mm256_sqrt_pd(vvar);
+  // Flat-window rule per lane: sigma < threshold -> 1.0.
+  b.vsigma = _mm256_blendv_pd(
+      vsigma, _mm256_set1_pd(1.0),
+      _mm256_cmp_pd(vsigma, _mm256_set1_pd(ts::kFlatThreshold), _CMP_LT_OQ));
+  b.vsig2 = _mm256_mul_pd(b.vsigma, b.vsigma);
+  b.vw_f = _mm256_sub_pd(_mm256_loadu_pd(a.hay + pos), b.vmu);
+  b.vw_l = _mm256_sub_pd(_mm256_loadu_pd(a.hay + pos + n - 1), b.vmu);
+  // csq = max(0, sum_sq - nd*mu*mu): pattern-independent, hoisted.
+  b.vcsq = _mm256_max_pd(
+      vzero, _mm256_sub_pd(vsum_sq,
+                           _mm256_mul_pd(_mm256_mul_pd(vnd, b.vmu), b.vmu)));
+  return b;
+}
+
+// Endpoint lower bound for one pattern over a block.
+__attribute__((target("avx2"), always_inline)) inline __m256d LowerBound256(
+    const Block256& b, double p_first, double p_last) {
+  const __m256d vd_f = _mm256_sub_pd(
+      b.vw_f, _mm256_mul_pd(_mm256_set1_pd(p_first), b.vsigma));
+  const __m256d vlb = _mm256_mul_pd(vd_f, vd_f);
+  const __m256d vd_l = _mm256_sub_pd(
+      b.vw_l, _mm256_mul_pd(_mm256_set1_pd(p_last), b.vsigma));
+  return _mm256_add_pd(vlb, _mm256_mul_pd(vd_l, vd_l));
+}
+
+// The four windows' dots against `row`, one per lane: accumulator k
+// takes the i % 4 == k elements in index order, tail elements fold into
+// v0, and the partials combine as (s0+s1)+(s2+s3) — the pinned order.
+__attribute__((target("avx2"), always_inline)) inline __m256d Dot256(
+    const double* hb, const double* row, std::size_t n) {
+  __m256d v0 = _mm256_setzero_pd();
+  __m256d v1 = _mm256_setzero_pd();
+  __m256d v2 = _mm256_setzero_pd();
+  __m256d v3 = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    v0 = _mm256_add_pd(
+        v0, _mm256_mul_pd(_mm256_loadu_pd(hb + i), _mm256_set1_pd(row[i])));
+    v1 = _mm256_add_pd(v1, _mm256_mul_pd(_mm256_loadu_pd(hb + i + 1),
+                                         _mm256_set1_pd(row[i + 1])));
+    v2 = _mm256_add_pd(v2, _mm256_mul_pd(_mm256_loadu_pd(hb + i + 2),
+                                         _mm256_set1_pd(row[i + 2])));
+    v3 = _mm256_add_pd(v3, _mm256_mul_pd(_mm256_loadu_pd(hb + i + 3),
+                                         _mm256_set1_pd(row[i + 3])));
+  }
+  for (; i < n; ++i) {
+    v0 = _mm256_add_pd(
+        v0, _mm256_mul_pd(_mm256_loadu_pd(hb + i), _mm256_set1_pd(row[i])));
+  }
+  return _mm256_add_pd(_mm256_add_pd(v0, v1), _mm256_add_pd(v2, v3));
+}
+
+// d2s = max(0, csq - 2*sigma*(dot - mu*p_sum) + p_sum_sq*sig2), the
+// scalar body's expression tree per lane.
+__attribute__((target("avx2"), always_inline)) inline __m256d Distances256(
+    const Block256& b, __m256d vdot, double p_sum, double p_sum_sq) {
+  const __m256d vcross = _mm256_mul_pd(
+      _mm256_mul_pd(_mm256_set1_pd(2.0), b.vsigma),
+      _mm256_sub_pd(vdot, _mm256_mul_pd(b.vmu, _mm256_set1_pd(p_sum))));
+  return _mm256_max_pd(
+      _mm256_setzero_pd(),
+      _mm256_add_pd(_mm256_sub_pd(b.vcsq, vcross),
+                    _mm256_mul_pd(_mm256_set1_pd(p_sum_sq), b.vsig2)));
+}
+
+// AVX2 best-match kernel. A dot has no side effects, so whenever any
+// lane survives the block-start prune the kernel computes all four
+// lanes' distances; the best-update sweep then applies the scalar
+// loop's exact gates (endpoint lower bound, then d2s < thresh, both
+// against the *current* best) in window order, so the per-pattern
+// sequence of best updates is identical to the scalar body's.
+__attribute__((target("avx2"))) void ScanBucketAvx2(const BucketScan& a) {
+  const __m256d vinv_n = _mm256_set1_pd(a.inv_n);
+  const __m256d vnd = _mm256_set1_pd(static_cast<double>(a.n));
   alignas(32) double sig2_l[4];
   alignas(32) double lb_l[4];
   alignas(32) double d2s_l[4];
 
   std::size_t pos = 0;
-  for (; pos + 3 + n <= m; pos += 4) {
-    const __m256d vsum = _mm256_sub_pd(_mm256_loadu_pd(a.prefix + pos + n),
-                                       _mm256_loadu_pd(a.prefix + pos));
-    const __m256d vsum_sq =
-        _mm256_sub_pd(_mm256_loadu_pd(a.prefix_sq + pos + n),
-                      _mm256_loadu_pd(a.prefix_sq + pos));
-    const __m256d vmu = _mm256_mul_pd(vsum, vinv_n);
-    const __m256d vvar = _mm256_max_pd(
-        vzero, _mm256_sub_pd(_mm256_mul_pd(vsum_sq, vinv_n),
-                             _mm256_mul_pd(vmu, vmu)));
-    __m256d vsigma = _mm256_sqrt_pd(vvar);
-    vsigma = _mm256_blendv_pd(vsigma, vone,
-                              _mm256_cmp_pd(vsigma, vflat, _CMP_LT_OQ));
-    const __m256d vsig2 = _mm256_mul_pd(vsigma, vsigma);
-    const __m256d vw_f =
-        _mm256_sub_pd(_mm256_loadu_pd(a.hay + pos), vmu);
-    const __m256d vw_l =
-        _mm256_sub_pd(_mm256_loadu_pd(a.hay + pos + n - 1), vmu);
-    // csq = max(0, sum_sq - nd*mu*mu): pattern-independent, hoisted —
-    // the expression tree matches the scalar body's, so each lane rounds
-    // identically.
-    const __m256d vcsq = _mm256_max_pd(
-        vzero, _mm256_sub_pd(vsum_sq,
-                             _mm256_mul_pd(_mm256_mul_pd(vnd, vmu), vmu)));
-
+  for (; pos + 3 + a.n <= a.m; pos += 4) {
+    const Block256 b = LoadBlock256(a, pos, vinv_n, vnd);
     for (std::size_t p = 0; p < a.count; ++p) {
-      const __m256d vd_f =
-          _mm256_sub_pd(vw_f, _mm256_mul_pd(_mm256_set1_pd(a.p_first[p]),
-                                            vsigma));
-      __m256d vlb = _mm256_mul_pd(vd_f, vd_f);
-      const __m256d vd_l =
-          _mm256_sub_pd(vw_l, _mm256_mul_pd(_mm256_set1_pd(a.p_last[p]),
-                                            vsigma));
-      vlb = _mm256_add_pd(vlb, _mm256_mul_pd(vd_l, vd_l));
+      const __m256d vlb = LowerBound256(b, a.p_first[p], a.p_last[p]);
+      // Block-start threshold. The best only shrinks within a block, so
+      // this is an upper bound on every later threshold: an all-lanes
+      // prune here means the scalar loop prunes all four windows too,
+      // and a lane failing both gates here cannot update later either.
       const __m256d vthresh =
-          _mm256_mul_pd(_mm256_set1_pd(a.best_sq[p]), vsig2);
-      const int keep =
-          _mm256_movemask_pd(_mm256_cmp_pd(vlb, vthresh, _CMP_LT_OQ));
-      // The best only shrinks within a block, so the block-start
-      // threshold is an upper bound on every later threshold: an
-      // all-lanes prune here means the scalar loop prunes all four
-      // windows too.
-      if (keep == 0) continue;
-
-      // Four windows' dots at once, one per lane. For fixed element i
-      // the four windows read hay[pos+i .. pos+i+3] — one unaligned
-      // load — times the broadcast row[i]; accumulator k takes the
-      // i % 4 == k elements in index order, tail elements fold into v0,
-      // and the partials combine as (s0+s1)+(s2+s3): the pinned order,
-      // per lane.
-      const double* row = a.slab + p * a.stride;
-      const double* hb = a.hay + pos;
-      __m256d v0 = vzero;
-      __m256d v1 = vzero;
-      __m256d v2 = vzero;
-      __m256d v3 = vzero;
-      std::size_t i = 0;
-      for (; i + 4 <= n; i += 4) {
-        v0 = _mm256_add_pd(
-            v0, _mm256_mul_pd(_mm256_loadu_pd(hb + i),
-                              _mm256_set1_pd(row[i])));
-        v1 = _mm256_add_pd(
-            v1, _mm256_mul_pd(_mm256_loadu_pd(hb + i + 1),
-                              _mm256_set1_pd(row[i + 1])));
-        v2 = _mm256_add_pd(
-            v2, _mm256_mul_pd(_mm256_loadu_pd(hb + i + 2),
-                              _mm256_set1_pd(row[i + 2])));
-        v3 = _mm256_add_pd(
-            v3, _mm256_mul_pd(_mm256_loadu_pd(hb + i + 3),
-                              _mm256_set1_pd(row[i + 3])));
-      }
-      for (; i < n; ++i) {
-        v0 = _mm256_add_pd(
-            v0, _mm256_mul_pd(_mm256_loadu_pd(hb + i),
-                              _mm256_set1_pd(row[i])));
-      }
-      const __m256d vdot =
-          _mm256_add_pd(_mm256_add_pd(v0, v1), _mm256_add_pd(v2, v3));
-
-      // d2s = max(0, csq - 2*sigma*(dot - mu*p_sum) + p_sum_sq*sig2),
-      // same expression tree as the scalar body.
-      const __m256d vcross = _mm256_mul_pd(
-          _mm256_mul_pd(vtwo, vsigma),
-          _mm256_sub_pd(vdot, _mm256_mul_pd(vmu,
-                                            _mm256_set1_pd(a.p_sum[p]))));
-      const __m256d vd2s = _mm256_max_pd(
-          vzero,
-          _mm256_add_pd(_mm256_sub_pd(vcsq, vcross),
-                        _mm256_mul_pd(_mm256_set1_pd(a.p_sum_sq[p]),
-                                      vsig2)));
-
-      // Fast path: no lane can update unless it passes both gates with
-      // the sweep-start best — the largest threshold any lane will face,
-      // since the best only shrinks lane to lane.
-      const __m256d vthresh_now =
-          _mm256_mul_pd(_mm256_set1_pd(a.best_sq[p]), vsig2);
-      const int cand = _mm256_movemask_pd(_mm256_and_pd(
-          _mm256_cmp_pd(vlb, vthresh_now, _CMP_LT_OQ),
-          _mm256_cmp_pd(vd2s, vthresh_now, _CMP_LT_OQ)));
+          _mm256_mul_pd(_mm256_set1_pd(a.best_sq[p]), b.vsig2);
+      const __m256d vkeep = _mm256_cmp_pd(vlb, vthresh, _CMP_LT_OQ);
+      if (_mm256_movemask_pd(vkeep) == 0) continue;
+      const __m256d vd2s =
+          Distances256(b, Dot256(a.hay + pos, a.slab + p * a.stride, a.n),
+                       a.p_sum[p], a.p_sum_sq[p]);
+      const int cand = _mm256_movemask_pd(
+          _mm256_and_pd(vkeep, _mm256_cmp_pd(vd2s, vthresh, _CMP_LT_OQ)));
       if (cand == 0) continue;
-      _mm256_store_pd(sig2_l, vsig2);
+      _mm256_store_pd(sig2_l, b.vsig2);
       _mm256_store_pd(lb_l, vlb);
       _mm256_store_pd(d2s_l, vd2s);
       for (int lane = 0; lane < 4; ++lane) {
-        // The scalar loop's gates against the *current* best (the vector
-        // mask used the block-start best, which may have improved): skip
-        // on the endpoint bound first — exactly the windows the scalar
-        // loop skips — then update on d2s < thresh.
+        // The scalar loop's gates against the *current* best: skip on
+        // the endpoint bound first — exactly the windows the scalar loop
+        // skips — then update on d2s < thresh.
         const double thresh = a.best_sq[p] * sig2_l[lane];
         if (lb_l[lane] >= thresh) continue;
         if (d2s_l[lane] < thresh) {
@@ -305,6 +344,46 @@ __attribute__((target("avx2"))) void ScanBucketAvx2(const BucketScan& a) {
     }
   }
   ScanBucketScalarFrom(a, pos);  // trailing < 4 positions
+}
+
+// AVX2 existence kernel. The threshold is seed-derived and fixed for the
+// whole scan, so the vector gates ARE the per-window decisions: there is
+// no running best to re-gate against — any set lane in
+// (lb < thresh) & (d2s < thresh) means some window decides the pattern,
+// exactly as in the scalar body. There is no 512-bit variant: the
+// decisions are tier-invariant because the per-lane arithmetic is, so
+// AVX-512 hosts run this kernel.
+__attribute__((target("avx2"))) void ScanBucketBelowAvx2(
+    const BucketScan& a) {
+  const __m256d vinv_n = _mm256_set1_pd(a.inv_n);
+  const __m256d vnd = _mm256_set1_pd(static_cast<double>(a.n));
+  const __m256d vseed = _mm256_set1_pd(a.seed_sq);
+
+  std::size_t pos = 0;
+  for (; pos + 3 + a.n <= a.m && *a.remaining > 0; pos += 4) {
+    const Block256 b = LoadBlock256(a, pos, vinv_n, vnd);
+    // One threshold for the whole bucket (the seed never improves).
+    const __m256d vthresh = _mm256_mul_pd(vseed, b.vsig2);
+    for (std::size_t p = 0; p < a.count; ++p) {
+      if (a.hit[p] != 0) continue;
+      const __m256d vkeep = _mm256_cmp_pd(
+          LowerBound256(b, a.p_first[p], a.p_last[p]), vthresh, _CMP_LT_OQ);
+      if (_mm256_movemask_pd(vkeep) == 0) continue;
+      const __m256d vd2s =
+          Distances256(b, Dot256(a.hay + pos, a.slab + p * a.stride, a.n),
+                       a.p_sum[p], a.p_sum_sq[p]);
+      const int cand = _mm256_movemask_pd(
+          _mm256_and_pd(vkeep, _mm256_cmp_pd(vd2s, vthresh, _CMP_LT_OQ)));
+      if (cand == 0) continue;
+      a.hit[p] = 1;
+      if (a.first_hit) {
+        *a.remaining = 0;
+        return;
+      }
+      if (--*a.remaining == 0) return;
+    }
+  }
+  ScanBucketBelowScalarFrom(a, pos);  // trailing < 4 positions
 }
 
 // AVX-512 bucket kernel: sixteen window positions per iteration as two
@@ -328,7 +407,6 @@ __attribute__((target("avx2"))) void ScanBucketAvx2(const BucketScan& a) {
 // endpoint terms and csq for the 8 windows starting at `pos`, computed
 // with the scalar body's expression trees (see ScanBucketScalarFrom).
 struct Block512 {
-  __m512d vsum_sq;
   __m512d vmu;
   __m512d vsigma;
   __m512d vsig2;
@@ -347,11 +425,12 @@ LoadBlock512(const BucketScan& a, std::size_t pos, __m512d vinv_n,
   Block512 b;
   const __m512d vsum = _mm512_sub_pd(_mm512_loadu_pd(a.prefix + pos + n),
                                      _mm512_loadu_pd(a.prefix + pos));
-  b.vsum_sq = _mm512_sub_pd(_mm512_loadu_pd(a.prefix_sq + pos + n),
-                            _mm512_loadu_pd(a.prefix_sq + pos));
+  const __m512d vsum_sq =
+      _mm512_sub_pd(_mm512_loadu_pd(a.prefix_sq + pos + n),
+                    _mm512_loadu_pd(a.prefix_sq + pos));
   b.vmu = _mm512_mul_pd(vsum, vinv_n);
   const __m512d vvar = _mm512_max_pd(
-      vzero, _mm512_sub_pd(_mm512_mul_pd(b.vsum_sq, vinv_n),
+      vzero, _mm512_sub_pd(_mm512_mul_pd(vsum_sq, vinv_n),
                            _mm512_mul_pd(b.vmu, b.vmu)));
   __m512d vsigma = _mm512_sqrt_pd(vvar);
   // Flat-window rule per lane: sigma < threshold -> 1.0.
@@ -362,8 +441,7 @@ LoadBlock512(const BucketScan& a, std::size_t pos, __m512d vinv_n,
   b.vw_l = _mm512_sub_pd(_mm512_loadu_pd(a.hay + pos + n - 1), b.vmu);
   b.vcsq = _mm512_max_pd(
       vzero,
-      _mm512_sub_pd(b.vsum_sq,
-                    _mm512_mul_pd(_mm512_mul_pd(vnd, b.vmu), b.vmu)));
+      _mm512_sub_pd(vsum_sq, _mm512_mul_pd(_mm512_mul_pd(vnd, b.vmu), b.vmu)));
   return b;
 }
 
@@ -378,6 +456,31 @@ LowerBound512(const Block512& b, double p_first, double p_last) {
   const __m512d vd_l = _mm512_sub_pd(
       b.vw_l, _mm512_mul_pd(_mm512_set1_pd(p_last), b.vsigma));
   return _mm512_add_pd(vlb, _mm512_mul_pd(vd_l, vd_l));
+}
+
+// The eight windows' dots against `row`, one per lane (Dot256's order).
+__attribute__((target("avx512f"), always_inline)) inline __m512d Dot512(
+    const double* hb, const double* row, std::size_t n) {
+  __m512d v0 = _mm512_setzero_pd();
+  __m512d v1 = _mm512_setzero_pd();
+  __m512d v2 = _mm512_setzero_pd();
+  __m512d v3 = _mm512_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    v0 = _mm512_add_pd(
+        v0, _mm512_mul_pd(_mm512_loadu_pd(hb + i), _mm512_set1_pd(row[i])));
+    v1 = _mm512_add_pd(v1, _mm512_mul_pd(_mm512_loadu_pd(hb + i + 1),
+                                         _mm512_set1_pd(row[i + 1])));
+    v2 = _mm512_add_pd(v2, _mm512_mul_pd(_mm512_loadu_pd(hb + i + 2),
+                                         _mm512_set1_pd(row[i + 2])));
+    v3 = _mm512_add_pd(v3, _mm512_mul_pd(_mm512_loadu_pd(hb + i + 3),
+                                         _mm512_set1_pd(row[i + 3])));
+  }
+  for (; i < n; ++i) {
+    v0 = _mm512_add_pd(
+        v0, _mm512_mul_pd(_mm512_loadu_pd(hb + i), _mm512_set1_pd(row[i])));
+  }
+  return _mm512_add_pd(_mm512_add_pd(v0, v1), _mm512_add_pd(v2, v3));
 }
 
 // d2s = max(0, csq - 2*sigma*(dot - mu*p_sum) + p_sum_sq*sig2), the
@@ -455,8 +558,8 @@ __attribute__((target("avx512f"))) void ScanBucketAvx512(
       if ((keep_a | keep_b) == 0) continue;
 
       // Sixteen windows' dots at once: eight independent accumulate
-      // chains (see the AVX2 body for the per-lane order argument),
-      // block A and block B sharing each row[i] broadcast.
+      // chains (Dot512's per-lane order), block A and block B sharing
+      // each row[i] broadcast.
       const double* row = a.slab + p * a.stride;
       const double* hb = a.hay + pos;
       __m512d va0 = vzero;
@@ -518,35 +621,9 @@ __attribute__((target("avx512f"))) void ScanBucketAvx512(
           vlb, _mm512_mul_pd(_mm512_set1_pd(a.best_sq[p]), ba.vsig2),
           _CMP_LT_OQ);
       if (keep == 0) continue;
-      const double* row = a.slab + p * a.stride;
-      const double* hb = a.hay + pos;
-      __m512d v0 = vzero;
-      __m512d v1 = vzero;
-      __m512d v2 = vzero;
-      __m512d v3 = vzero;
-      std::size_t i = 0;
-      for (; i + 4 <= n; i += 4) {
-        v0 = _mm512_add_pd(
-            v0, _mm512_mul_pd(_mm512_loadu_pd(hb + i),
-                              _mm512_set1_pd(row[i])));
-        v1 = _mm512_add_pd(
-            v1, _mm512_mul_pd(_mm512_loadu_pd(hb + i + 1),
-                              _mm512_set1_pd(row[i + 1])));
-        v2 = _mm512_add_pd(
-            v2, _mm512_mul_pd(_mm512_loadu_pd(hb + i + 2),
-                              _mm512_set1_pd(row[i + 2])));
-        v3 = _mm512_add_pd(
-            v3, _mm512_mul_pd(_mm512_loadu_pd(hb + i + 3),
-                              _mm512_set1_pd(row[i + 3])));
-      }
-      for (; i < n; ++i) {
-        v0 = _mm512_add_pd(
-            v0, _mm512_mul_pd(_mm512_loadu_pd(hb + i),
-                              _mm512_set1_pd(row[i])));
-      }
-      const __m512d vdot =
-          _mm512_add_pd(_mm512_add_pd(v0, v1), _mm512_add_pd(v2, v3));
-      const __m512d vd2s = Distances512(ba, vdot, a.p_sum[p], a.p_sum_sq[p]);
+      const __m512d vd2s =
+          Distances512(ba, Dot512(a.hay + pos, a.slab + p * a.stride, n),
+                       a.p_sum[p], a.p_sum_sq[p]);
       SweepBlock512(a, p, pos, ba, vlb, vd2s);
     }
   }
@@ -554,123 +631,62 @@ __attribute__((target("avx512f"))) void ScanBucketAvx512(
 }
 #pragma GCC diagnostic pop
 
-// AVX2 existence kernel: four window positions per iteration with the
-// same hoisted block moments and across-window dots as ScanBucketAvx2
-// (per-lane expression trees identical to the scalar body, explicit
-// mul/add/sub/sqrt, never FMA). The threshold is seed-derived and fixed
-// for the whole scan, so the vector gates ARE the per-window decisions:
-// no post-hoc scalar re-gate exists because there is no running best to
-// re-gate against — any set lane in (lb < thresh) & (d2s < thresh)
-// means some window decides the pattern, exactly as in the scalar body.
-// There is no 512-bit variant: the decisions are tier-invariant because
-// the per-lane arithmetic is, so AVX-512 hosts run this kernel, like
-// the per-pattern scan in matcher.cc.
-__attribute__((target("avx2"))) void ScanBucketBelowAvx2(
-    const BelowScan& a) {
-  const std::size_t n = a.n;
-  const std::size_t m = a.m;
-  const __m256d vinv_n = _mm256_set1_pd(a.inv_n);
-  const __m256d vnd = _mm256_set1_pd(static_cast<double>(n));
-  const __m256d vzero = _mm256_setzero_pd();
-  const __m256d vone = _mm256_set1_pd(1.0);
-  const __m256d vtwo = _mm256_set1_pd(2.0);
-  const __m256d vflat = _mm256_set1_pd(ts::kFlatThreshold);
-  const __m256d vseed = _mm256_set1_pd(a.seed_sq);
+#endif  // RPM_DOT_AVX2_DISPATCH
 
-  std::size_t pos = 0;
-  for (; pos + 3 + n <= m && *a.remaining > 0; pos += 4) {
-    const __m256d vsum = _mm256_sub_pd(_mm256_loadu_pd(a.prefix + pos + n),
-                                       _mm256_loadu_pd(a.prefix + pos));
-    const __m256d vsum_sq =
-        _mm256_sub_pd(_mm256_loadu_pd(a.prefix_sq + pos + n),
-                      _mm256_loadu_pd(a.prefix_sq + pos));
-    const __m256d vmu = _mm256_mul_pd(vsum, vinv_n);
-    const __m256d vvar = _mm256_max_pd(
-        vzero, _mm256_sub_pd(_mm256_mul_pd(vsum_sq, vinv_n),
-                             _mm256_mul_pd(vmu, vmu)));
-    __m256d vsigma = _mm256_sqrt_pd(vvar);
-    vsigma = _mm256_blendv_pd(vsigma, vone,
-                              _mm256_cmp_pd(vsigma, vflat, _CMP_LT_OQ));
-    const __m256d vsig2 = _mm256_mul_pd(vsigma, vsigma);
-    const __m256d vw_f =
-        _mm256_sub_pd(_mm256_loadu_pd(a.hay + pos), vmu);
-    const __m256d vw_l =
-        _mm256_sub_pd(_mm256_loadu_pd(a.hay + pos + n - 1), vmu);
-    const __m256d vcsq = _mm256_max_pd(
-        vzero, _mm256_sub_pd(vsum_sq,
-                             _mm256_mul_pd(_mm256_mul_pd(vnd, vmu), vmu)));
-    // One threshold for the whole bucket (the seed never improves).
-    const __m256d vthresh = _mm256_mul_pd(vseed, vsig2);
+enum class ScanKind { kBestMatch, kExistence };
 
-    for (std::size_t p = 0; p < a.count; ++p) {
-      if (a.hit[p] != 0) continue;
-      const __m256d vd_f =
-          _mm256_sub_pd(vw_f, _mm256_mul_pd(_mm256_set1_pd(a.p_first[p]),
-                                            vsigma));
-      __m256d vlb = _mm256_mul_pd(vd_f, vd_f);
-      const __m256d vd_l =
-          _mm256_sub_pd(vw_l, _mm256_mul_pd(_mm256_set1_pd(a.p_last[p]),
-                                            vsigma));
-      vlb = _mm256_add_pd(vlb, _mm256_mul_pd(vd_l, vd_l));
-      const __m256d vkeep = _mm256_cmp_pd(vlb, vthresh, _CMP_LT_OQ);
-      if (_mm256_movemask_pd(vkeep) == 0) continue;
-
-      // Four windows' dots at once, one per lane — the canonical
-      // four-partial accumulation order per lane (see ScanBucketAvx2).
-      const double* row = a.slab + p * a.stride;
-      const double* hb = a.hay + pos;
-      __m256d v0 = vzero;
-      __m256d v1 = vzero;
-      __m256d v2 = vzero;
-      __m256d v3 = vzero;
-      std::size_t i = 0;
-      for (; i + 4 <= n; i += 4) {
-        v0 = _mm256_add_pd(
-            v0, _mm256_mul_pd(_mm256_loadu_pd(hb + i),
-                              _mm256_set1_pd(row[i])));
-        v1 = _mm256_add_pd(
-            v1, _mm256_mul_pd(_mm256_loadu_pd(hb + i + 1),
-                              _mm256_set1_pd(row[i + 1])));
-        v2 = _mm256_add_pd(
-            v2, _mm256_mul_pd(_mm256_loadu_pd(hb + i + 2),
-                              _mm256_set1_pd(row[i + 2])));
-        v3 = _mm256_add_pd(
-            v3, _mm256_mul_pd(_mm256_loadu_pd(hb + i + 3),
-                              _mm256_set1_pd(row[i + 3])));
+// Length-1 rows, for both scan kinds: every single-point window is
+// exactly flat (z-value 0), so all positions tie at distance |p| and the
+// first window decides — going through the prefix sums would instead
+// see cancellation noise above the flat threshold.
+void ScanLengthOne(const BucketScan& a, ScanKind kind) {
+  for (std::size_t p = 0; p < a.count; ++p) {
+    const double d2 = a.p_first[p] * a.p_first[p];
+    if (kind == ScanKind::kBestMatch) {
+      if (d2 < a.best_sq[p]) {
+        a.best_sq[p] = d2;
+        a.best_pos[p] = 0;
       }
-      for (; i < n; ++i) {
-        v0 = _mm256_add_pd(
-            v0, _mm256_mul_pd(_mm256_loadu_pd(hb + i),
-                              _mm256_set1_pd(row[i])));
-      }
-      const __m256d vdot =
-          _mm256_add_pd(_mm256_add_pd(v0, v1), _mm256_add_pd(v2, v3));
-
-      const __m256d vcross = _mm256_mul_pd(
-          _mm256_mul_pd(vtwo, vsigma),
-          _mm256_sub_pd(vdot, _mm256_mul_pd(vmu,
-                                            _mm256_set1_pd(a.p_sum[p]))));
-      const __m256d vd2s = _mm256_max_pd(
-          vzero,
-          _mm256_add_pd(_mm256_sub_pd(vcsq, vcross),
-                        _mm256_mul_pd(_mm256_set1_pd(a.p_sum_sq[p]),
-                                      vsig2)));
-      const int cand = _mm256_movemask_pd(_mm256_and_pd(
-          vkeep, _mm256_cmp_pd(vd2s, vthresh, _CMP_LT_OQ)));
-      if (cand != 0) {
-        a.hit[p] = 1;
-        if (a.first_hit) {
-          *a.remaining = 0;
-          return;
-        }
-        if (--*a.remaining == 0) return;
-      }
+    } else if (d2 < a.seed_sq) {
+      a.hit[p] = 1;
+      --*a.remaining;
+      if (a.first_hit) return;
     }
   }
-  ScanBucketBelowScalarFrom(a, pos);  // trailing < 4 positions
 }
 
-#endif  // RPM_DOT_AVX2_DISPATCH
+// The one ISA-tier dispatcher: every scan, a store bucket or a single
+// pattern, runs through here. Returns false, leaving the state
+// untouched, when the rows are longer than the series (their slots stay
+// unfound / undecided); otherwise runs the length-1 special case or the
+// current tier's kernel.
+bool RunScan(BucketScan& a, ScanKind kind) {
+  if (a.n > a.m) return false;
+  if (a.n == 1) {
+    ScanLengthOne(a, kind);
+    return true;
+  }
+#if defined(RPM_DOT_AVX2_DISPATCH)
+  const IsaTier tier = CurrentIsaTier();
+  if (tier >= IsaTier::kAvx2) {
+    a.dot = internal::VectorDotForLength(a.n);
+    if (kind == ScanKind::kExistence) {
+      ScanBucketBelowAvx2(a);
+    } else if (tier == IsaTier::kAvx512) {
+      ScanBucketAvx512(a);
+    } else {
+      ScanBucketAvx2(a);
+    }
+    return true;
+  }
+#endif
+  if (kind == ScanKind::kExistence) {
+    ScanBucketBelowScalarFrom(a, 0);
+  } else {
+    ScanBucketScalarFrom(a, 0);
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -757,7 +773,7 @@ void PatternStore::BuildFromViews(const std::vector<ts::SeriesView>& patterns) {
       std::copy(p.begin(), p.end(), row);
       // Same sequential accumulation as PatternContext, so the sums that
       // feed the closed-form distance are bit-identical to the
-      // per-pattern engine's.
+      // one-pattern scans'.
       double s = 0.0;
       double ssq = 0.0;
       for (const double v : p) {
@@ -778,43 +794,37 @@ PatternStore::BucketInfo PatternStore::bucket_info(std::size_t b) const {
   return BucketInfo{bucket.length, bucket.padded, bucket.count};
 }
 
-void PatternStore::ScanBucket(const Bucket& bucket,
-                              const SeriesContext& series, double* best_sq,
-                              std::size_t* best_pos) const {
-  // Callers guarantee 2 <= length <= series.size().
-  BucketScan a;
-  a.hay = series.data().data();
-  a.prefix = series.PrefixData();
-  a.prefix_sq = series.PrefixSqData();
-  a.m = series.size();
-  a.n = bucket.length;
-  a.inv_n = bucket.inv_n;
-  a.slab = arena_.get() + bucket.slab;
-  a.stride = bucket.padded;
-  a.count = bucket.count;
-  a.p_first = first_.data() + bucket.first;
-  a.p_last = last_.data() + bucket.first;
-  a.p_sum = sum_.data() + bucket.first;
-  a.p_sum_sq = sum_sq_.data() + bucket.first;
-  a.best_sq = best_sq;
-  a.best_pos = best_pos;
+BestMatch PatternStore::MatchOne(const PatternContext& pattern,
+                                 const SeriesContext& series,
+                                 double cutoff) {
+  BestMatch best;  // Explicit sentinel: npos position, infinite distance.
+  if (pattern.empty()) return best;
+  const ts::Series& row = pattern.values;
+  BucketScan a = ScanArgs(series, row.size(), row.data(), row.size(), 1,
+                          &row.front(), &row.back(), &pattern.sum,
+                          &pattern.sum_sq);
+  double best_sq = SeedSq(cutoff, row.size());
+  a.best_sq = &best_sq;
+  a.best_pos = &best.position;
+  RunScan(a, ScanKind::kBestMatch);
+  if (best.found()) best.distance = std::sqrt(best_sq * a.inv_n);
+  return best;
+}
 
-  const IsaTier tier = CurrentIsaTier();
-#if defined(RPM_DOT_AVX2_DISPATCH)
-  if (tier >= IsaTier::kAvx2) {
-    a.dot = internal::VectorDotForLength(a.n);
-    if (tier == IsaTier::kAvx512 && IsaTierAvailable(IsaTier::kAvx512)) {
-      ScanBucketAvx512(a);
-    } else {
-      ScanBucketAvx2(a);
-    }
-    return;
-  }
-#else
-  (void)tier;
-#endif
-  a.dot = &internal::DotBase;
-  ScanBucketScalarFrom(a, 0);
+bool PatternStore::BelowOne(const PatternContext& pattern,
+                            const SeriesContext& series, double cutoff) {
+  if (pattern.empty()) return false;
+  const ts::Series& row = pattern.values;
+  BucketScan a = ScanArgs(series, row.size(), row.data(), row.size(), 1,
+                          &row.front(), &row.back(), &pattern.sum,
+                          &pattern.sum_sq);
+  std::uint8_t hit = 0;
+  std::size_t remaining = 1;
+  a.seed_sq = SeedSq(cutoff, row.size());
+  a.hit = &hit;
+  a.remaining = &remaining;
+  RunScan(a, ScanKind::kExistence);
+  return hit != 0;
 }
 
 std::size_t PatternStore::MatchAllImpl(const SeriesContext& series,
@@ -824,7 +834,6 @@ std::size_t PatternStore::MatchAllImpl(const SeriesContext& series,
   out->assign(num_patterns_, BestMatch{});  // all slots start unfound
   const std::size_t stored = orig_index_.size();
   if (stored == 0) return 0;
-  const std::size_t m = series.size();
   std::size_t buckets_scanned = 0;
 
   scratch->best_sq.assign(stored,
@@ -833,38 +842,22 @@ std::size_t PatternStore::MatchAllImpl(const SeriesContext& series,
   double* best_sq = scratch->best_sq.data();
   std::size_t* best_pos = scratch->best_pos.data();
   if (seeds != nullptr) {
-    // Seed each slot in the scan's length-scaled squared space
-    // (n * distance^2), preserving infinite seeds as-is — exactly the
-    // cutoff conversion of the per-pattern seeded scan (matcher.cc
-    // BatchedBestMatch with cutoff).
+    // Seed each slot exactly as the one-pattern seeded scan does.
     for (const Bucket& b : buckets_) {
-      const double nd = static_cast<double>(b.length);
       for (std::size_t k = 0; k < b.count; ++k) {
         const std::size_t slot = b.first + k;
-        const double s = (*seeds)[orig_index_[slot]];
-        best_sq[slot] = std::isinf(s) ? s : s * s * nd;
+        best_sq[slot] = SeedSq((*seeds)[orig_index_[slot]], b.length);
       }
     }
   }
 
   for (const Bucket& b : buckets_) {
-    if (b.length > m || m == 0) continue;  // sentinel slots
-    ++buckets_scanned;
-    if (b.length == 1) {
-      // Every single-point window is exactly flat (z-value 0), so all
-      // positions tie at distance |p| and the first window wins — the
-      // same special case the per-pattern scan applies, including its
-      // seed test.
-      for (std::size_t k = 0; k < b.count; ++k) {
-        const double p = *Row(b, k);
-        if (p * p < best_sq[b.first + k]) {
-          best_sq[b.first + k] = p * p;
-          best_pos[b.first + k] = 0;
-        }
-      }
-      continue;
-    }
-    ScanBucket(b, series, best_sq + b.first, best_pos + b.first);
+    BucketScan a = ScanArgs(series, b.length, Row(b, 0), b.padded, b.count,
+                            first_.data() + b.first, last_.data() + b.first,
+                            sum_.data() + b.first, sum_sq_.data() + b.first);
+    a.best_sq = best_sq + b.first;
+    a.best_pos = best_pos + b.first;
+    if (RunScan(a, ScanKind::kBestMatch)) ++buckets_scanned;
   }
 
   for (const Bucket& b : buckets_) {
@@ -898,7 +891,6 @@ bool PatternStore::AnyBelow(const SeriesContext& series,
   if (below != nullptr) below->assign(num_patterns_, 0);
   const std::size_t stored = orig_index_.size();
   if (stored == 0) return false;
-  const std::size_t m = series.size();
 
   scratch->below.assign(stored, 0);
   std::uint8_t* hit = scratch->below.data();
@@ -906,60 +898,15 @@ bool PatternStore::AnyBelow(const SeriesContext& series,
   bool any = false;
 
   for (const Bucket& b : buckets_) {
-    if (b.length > m || m == 0) continue;  // decide false, like the scan
-    // Uniform per-bucket seed in length-scaled squared space, with the
-    // per-pattern scan's sign-preserving infinity passthrough.
-    const double seed_sq =
-        std::isinf(tau) ? tau
-                        : tau * tau * static_cast<double>(b.length);
-    if (b.length == 1) {
-      // Single-point windows are exactly flat: the decision is the
-      // per-pattern scan's `p*p < seed_sq` special case.
-      for (std::size_t k = 0; k < b.count; ++k) {
-        const double p = *Row(b, k);
-        if (p * p < seed_sq) {
-          hit[b.first + k] = 1;
-          any = true;
-          if (first_hit) return true;
-        }
-      }
-      continue;
-    }
-
     std::size_t remaining = b.count;
-    BelowScan a;
-    a.hay = series.data().data();
-    a.prefix = series.PrefixData();
-    a.prefix_sq = series.PrefixSqData();
-    a.m = m;
-    a.n = b.length;
-    a.inv_n = b.inv_n;
-    a.slab = arena_.get() + b.slab;
-    a.stride = b.padded;
-    a.count = b.count;
-    a.p_first = first_.data() + b.first;
-    a.p_last = last_.data() + b.first;
-    a.p_sum = sum_.data() + b.first;
-    a.p_sum_sq = sum_sq_.data() + b.first;
-    a.seed_sq = seed_sq;
+    BucketScan a = ScanArgs(series, b.length, Row(b, 0), b.padded, b.count,
+                            first_.data() + b.first, last_.data() + b.first,
+                            sum_.data() + b.first, sum_sq_.data() + b.first);
+    a.seed_sq = SeedSq(tau, b.length);
     a.hit = hit + b.first;
     a.remaining = &remaining;
     a.first_hit = first_hit;
-
-    const IsaTier tier = CurrentIsaTier();
-#if defined(RPM_DOT_AVX2_DISPATCH)
-    if (tier >= IsaTier::kAvx2) {
-      a.dot = internal::VectorDotForLength(a.n);
-      ScanBucketBelowAvx2(a);
-    } else {
-      a.dot = &internal::DotBase;
-      ScanBucketBelowScalarFrom(a, 0);
-    }
-#else
-    (void)tier;
-    a.dot = &internal::DotBase;
-    ScanBucketBelowScalarFrom(a, 0);
-#endif
+    RunScan(a, ScanKind::kExistence);
     if (remaining < b.count) {
       any = true;
       if (first_hit) return true;
@@ -983,20 +930,13 @@ void PatternStore::MatchBucket(std::size_t b, const SeriesContext& series,
   std::vector<double> best_sq(bucket.count,
                               std::numeric_limits<double>::infinity());
   std::vector<std::size_t> best_pos(bucket.count, kNpos);
-  const std::size_t m = series.size();
-  if (bucket.length <= m && m != 0) {
-    if (bucket.length == 1) {
-      for (std::size_t k = 0; k < bucket.count; ++k) {
-        const double p = *Row(bucket, k);
-        if (p * p < std::numeric_limits<double>::infinity()) {
-          best_sq[k] = p * p;
-          best_pos[k] = 0;
-        }
-      }
-    } else {
-      ScanBucket(bucket, series, best_sq.data(), best_pos.data());
-    }
-  }
+  BucketScan a = ScanArgs(
+      series, bucket.length, Row(bucket, 0), bucket.padded, bucket.count,
+      first_.data() + bucket.first, last_.data() + bucket.first,
+      sum_.data() + bucket.first, sum_sq_.data() + bucket.first);
+  a.best_sq = best_sq.data();
+  a.best_pos = best_pos.data();
+  RunScan(a, ScanKind::kBestMatch);
   for (std::size_t k = 0; k < bucket.count; ++k) {
     out[k] = BestMatch{};
     if (best_pos[k] == kNpos) continue;

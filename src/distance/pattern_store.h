@@ -1,20 +1,16 @@
 // Length-bucketed structure-of-arrays pattern store: the storage layout
-// behind BatchMatcher::MatchAll and the transform hot path.
+// behind BatchMatcher::MatchAll and the transform hot path, and the home
+// of the only best-match scan kernels in the library.
 //
-// The per-pattern engine (matcher.h) answers "best match of pattern P in
-// series S" one pattern at a time: each scan re-derives every window's
-// moments from the series prefix sums even though K patterns visit the
-// same windows. The store flips the loop to window-major. Patterns are
-// grouped into *buckets* by exact length; for each bucket the scan walks
-// the series once, computes each window block's moments a single time,
-// and streams them against every pattern in the bucket:
+// Patterns are grouped into *buckets* by exact length; for each bucket
+// the scan walks the series once, computes each window block's moments a
+// single time, and streams them against every pattern in the bucket:
 //
 //   * slab layout — all pattern values live in one 64-byte-aligned
 //     arena, one contiguous zero-padded row per pattern (row stride
 //     rounded up to 8 doubles, so every row starts on a cache line).
 //     The padding lanes are never read by the dot kernels (which stop at
-//     the true length); they exist so rows stay aligned and so vector
-//     loads near the row end stay in-bounds for ASan/UBSan.
+//     the true length); they exist so rows stay aligned.
 //   * per-bucket SoA metadata — first/last values, value sums and
 //     squared sums, one entry per pattern, contiguous — the inputs of
 //     the endpoint/sigma lower-bound cascade.
@@ -23,16 +19,20 @@
 //     and the (window - mu) endpoint terms are computed once per block
 //     and shared by the whole bucket; each pattern then pays only its
 //     own lower-bound test, and dot products run only for windows that
-//     survive a scalar re-gate.
+//     survive it.
+//
+// The one-pattern calls (BatchedBestMatch, BatchedMatchBelow,
+// FindBestMatch) run the same kernels as a count = 1 bucket over the
+// PatternContext's own row and sums (MatchOne / BelowOne): no arena
+// copy, no allocation, and no second scan body.
 //
 // Bit-identity: the vector kernels apply exactly the scalar operations
 // per lane (explicit mul/add/sub/sqrt, never FMA), prune with the
 // block-start best (at least as permissive as the scalar loop's running
-// threshold), and re-gate every surviving lane with the scalar rule
-// before its dot product — the same induction the AVX2 scan in
-// matcher.cc established. MatchAll through the store is therefore
-// bit-identical to per-pattern BatchedBestMatch on every tier, which the
-// golden tier-sweep tests assert exactly.
+// threshold), and re-gate every surviving lane with the scalar rule, in
+// window order. Every tier therefore reproduces the scalar body bit for
+// bit — MatchAll, MatchAllSeeded, AnyBelow and the one-pattern calls
+// alike — which the golden tier-sweep tests assert exactly.
 
 #ifndef RPM_DISTANCE_PATTERN_STORE_H_
 #define RPM_DISTANCE_PATTERN_STORE_H_
@@ -79,7 +79,7 @@ class PatternStore {
   /// MatchAll with a per-pattern initial best-so-far: pattern i's scan
   /// starts from `seeds[i]` (distance space, +inf = unseeded), so
   /// windows that cannot beat the seed are pruned by the endpoint lower
-  /// bound exactly as in the cutoff-seeded per-pattern scan. Slots whose
+  /// bound exactly as in the cutoff-seeded one-pattern scan. Slots whose
   /// scan never improves on the seed yield the unfound sentinel —
   /// bit-identical to `BatchedBestMatch(pattern, series, seeds[i])` per
   /// pattern, on every ISA tier. `seeds` must have size() entries, in
@@ -100,10 +100,24 @@ class PatternStore {
   /// pattern matched below `tau`; when `below` is non-null it is
   /// resized to size() and gets one 0/1 flag per pattern in original
   /// order (empty or too-long patterns decide false, like the
-  /// per-pattern scan).
+  /// one-pattern scan).
   bool AnyBelow(const SeriesContext& series, MatchScratch* scratch,
                 double tau,
                 std::vector<std::uint8_t>* below = nullptr) const;
+
+  /// One-pattern scans: the bucket kernels with count = 1, run over the
+  /// context's own row and sums (no store is built, nothing is
+  /// allocated). MatchOne is the best match of `pattern` in `series`
+  /// that beats `cutoff` (distance space, +inf = unseeded; the unfound
+  /// sentinel when none does, or when the pattern is empty or longer
+  /// than the series). BelowOne decides `MatchOne(...).distance <
+  /// cutoff`, stopping at the first window that proves it. Both seed the
+  /// scan exactly as MatchAllSeeded and AnyBelow seed each slot, so the
+  /// per-slot results of those calls are bit-identical to these.
+  static BestMatch MatchOne(const PatternContext& pattern,
+                            const SeriesContext& series, double cutoff);
+  static bool BelowOne(const PatternContext& pattern,
+                       const SeriesContext& series, double cutoff);
 
   /// One bucket's summary, for benchmarks and introspection.
   struct BucketInfo {
@@ -134,8 +148,6 @@ class PatternStore {
   const double* Row(const Bucket& bucket, std::size_t i) const {
     return arena_.get() + bucket.slab + i * bucket.padded;
   }
-  void ScanBucket(const Bucket& bucket, const SeriesContext& series,
-                  double* best_sq, std::size_t* best_pos) const;
   // Shared bucket loop behind MatchAll (seeds == nullptr) and
   // MatchAllSeeded.
   std::size_t MatchAllImpl(const SeriesContext& series,

@@ -19,8 +19,8 @@ inline constexpr double kFlatThreshold = 1e-8;
 
 /// Mean and (flat-rule) standard deviation of a window from its value sum
 /// and squared-value sum. This is the single definition of the
-/// sum-to-moments recurrence: the batched matcher's prefix-sum lookups
-/// (distance/matcher.cc) and the streaming RollingStats below both derive
+/// sum-to-moments recurrence: the scan kernels' prefix-sum lookups
+/// (distance/pattern_store.cc) and the streaming RollingStats below derive
 /// their window moments here, so the flat-window convention
 /// (sigma < kFlatThreshold -> sigma = 1.0, i.e. mean-center only) cannot
 /// drift between the batch and streaming paths. `inv_len` is 1/len,

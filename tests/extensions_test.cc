@@ -1,21 +1,17 @@
 // Tests for the extension components: Shapelet Transform baseline,
 // alternative feature-space classifiers (k-NN / Gaussian Naive Bayes),
-// the approximate best-match scan, the Re-Pair-backed RPM pipeline, and
-// model serialization round-trips.
+// the Re-Pair-backed RPM pipeline, and model serialization round-trips.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <sstream>
 
 #include "baselines/shapelet_transform.h"
 #include "core/rpm.h"
-#include "distance/approximate.h"
 #include "ml/metrics.h"
 #include "ml/simple_classifiers.h"
 #include "ts/generators.h"
 #include "ts/rng.h"
-#include "ts/znorm.h"
 
 namespace rpm {
 namespace {
@@ -148,65 +144,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(ml::FeatureClassifierKind::kSvm,
                       ml::FeatureClassifierKind::kKnn,
                       ml::FeatureClassifierKind::kNaiveBayes));
-
-// ---------------- Approximate matching ----------------
-
-TEST(ApproximateMatch, FindsPlantedPatternExactly) {
-  ts::Rng rng(6);
-  ts::Series pattern(24);
-  for (std::size_t i = 0; i < pattern.size(); ++i) {
-    pattern[i] = std::sin(0.5 * static_cast<double>(i));
-  }
-  ts::ZNormalizeInPlace(pattern);
-  ts::Series hay(300);
-  for (auto& v : hay) v = rng.Gaussian(0.0, 0.3);
-  for (std::size_t i = 0; i < pattern.size(); ++i) {
-    hay[140 + i] = 4.0 + 3.0 * pattern[i];
-  }
-  const auto exact = distance::FindBestMatch(pattern, hay);
-  const auto approx = distance::FindBestMatchApprox(pattern, hay);
-  EXPECT_EQ(approx.position, exact.position);
-  EXPECT_NEAR(approx.distance, exact.distance, 1e-9);
-}
-
-TEST(ApproximateMatch, NeverBetterThanExact) {
-  // The approximate distance is an exact distance at some position, so it
-  // can only be >= the true best-match distance.
-  ts::Rng rng(7);
-  for (int trial = 0; trial < 20; ++trial) {
-    ts::Series pattern(16);
-    for (auto& v : pattern) v = rng.Gaussian();
-    ts::ZNormalizeInPlace(pattern);
-    ts::Series hay(200);
-    for (auto& v : hay) v = rng.Gaussian();
-    const auto exact = distance::FindBestMatch(pattern, hay);
-    const auto approx = distance::FindBestMatchApprox(pattern, hay);
-    EXPECT_GE(approx.distance, exact.distance - 1e-9);
-    // With a healthy refine budget it should usually be close.
-    EXPECT_LE(approx.distance, exact.distance + 1.0);
-  }
-}
-
-TEST(ApproximateMatch, DegenerateInputs) {
-  EXPECT_FALSE(
-      distance::FindBestMatchApprox(ts::Series{}, ts::Series(5, 0.0))
-          .found());
-  EXPECT_FALSE(distance::FindBestMatchApprox(ts::Series(10, 0.0),
-                                             ts::Series(5, 0.0))
-                   .found());
-}
-
-TEST(ApproximateMatch, RpmPipelineWithApproximateMatching) {
-  core::RpmOptions opt;
-  opt.search = core::ParameterSearch::kFixed;
-  opt.fixed_sax.window = 25;
-  opt.fixed_sax.paa_size = 5;
-  opt.fixed_sax.alphabet = 4;
-  opt.approximate_matching = true;
-  core::RpmClassifier clf(opt);
-  clf.Train(Split().train);
-  EXPECT_LE(clf.Evaluate(Split().test), 0.3);
-}
 
 // ---------------- Re-Pair-backed RPM ----------------
 

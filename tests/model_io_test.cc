@@ -1,7 +1,8 @@
 // Tests for the hardened model persistence path: Save/Load round-trips
-// preserve predictions exactly, and truncated, corrupt, or
-// version-mismatched model files fail with descriptive runtime_errors
-// instead of undefined reads or giant allocations.
+// preserve predictions exactly, v1 files written by earlier builds keep
+// loading, and truncated, corrupt, or version-mismatched model files
+// fail with descriptive runtime_errors instead of undefined reads or
+// giant allocations.
 
 #include <gtest/gtest.h>
 
@@ -71,6 +72,64 @@ TEST(ModelIo, FileRoundTripThroughSaveToFile) {
   const ts::DatasetSplit split = ts::MakeGunPoint(10, 10, 120, 7);
   EXPECT_EQ(loaded.ClassifyAll(split.test),
             TrainedModel().ClassifyAll(split.test));
+}
+
+// tests/data/model_v1_cbf.rpm: a v1 model written by an earlier build
+// (the last one with an approximate-matching mode), trained as
+// FixtureSplit / FixtureOptions below. kFixturePredictions are that
+// build's predictions on the fixture's test split, two of them wrong.
+ts::DatasetSplit FixtureSplit() { return ts::MakeCbf(10, 10, 128, 778); }
+
+core::RpmOptions FixtureOptions() {
+  core::RpmOptions options;
+  options.search = core::ParameterSearch::kFixed;
+  options.fixed_sax.window = 32;
+  options.fixed_sax.paa_size = 5;
+  options.fixed_sax.alphabet = 4;
+  return options;
+}
+
+constexpr char kFixturePredictions[] = "111311113122222222223333333333";
+
+std::string FixtureText() {
+  const std::string path =
+      std::string(RPM_TEST_DATA_DIR) + "/model_v1_cbf.rpm";
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << "cannot open " << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(ModelIo, EarlierBuildModelLoadsAndPredictsIdentically) {
+  std::istringstream in(FixtureText());
+  const core::RpmClassifier loaded = core::RpmClassifier::Load(in);
+  std::string predicted;
+  for (const int label : loaded.ClassifyAll(FixtureSplit().test)) {
+    predicted += std::to_string(label);
+  }
+  EXPECT_EQ(predicted, kFixturePredictions);
+}
+
+TEST(ModelIo, ExactModelSavesTheSameV1Bytes) {
+  // The approximate-matching slots of the flags line stay "0 10", so an
+  // exact model trained today serializes byte for byte as before.
+  core::RpmClassifier clf(FixtureOptions());
+  clf.Train(FixtureSplit().train);
+  std::ostringstream out;
+  clf.Save(out);
+  EXPECT_EQ(out.str(), FixtureText());
+  EXPECT_NE(out.str().find("\nflags 0 0 10 "), std::string::npos);
+}
+
+TEST(ModelIo, ApproximateModelIsRefused) {
+  // A model trained with approximate matching must not be served with
+  // exact matching instead: its features would silently change.
+  std::string text = FixtureText();
+  const std::size_t pos = text.find("\nflags 0 0 10 ");
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, 14, "\nflags 0 1 10 ");
+  ExpectLoadFails(text, "flags field 'approximate' is 1");
 }
 
 TEST(ModelIo, EmptyStreamFails) {

@@ -59,8 +59,9 @@ struct TierGuard {
 // every padded-tail residue (n mod 8), odd and even lengths, lengths
 // around the unrolled-dot boundary (n/4 <= 16 ~ n = 64..67), and
 // patterns longer than the series (sentinel slots mid-batch). The
-// scalar-tier per-pattern scan is the reference; every tier's MatchAll
-// through the SoA store must reproduce it bit for bit.
+// scalar-tier one-pattern scan (the scalar bucket body at count = 1) is
+// the reference; every tier's MatchAll through the SoA store must
+// reproduce it bit for bit.
 TEST(PatternStoreGolden, AllTiersBitIdenticalAcrossLengths2To512) {
   constexpr std::size_t kSeriesLen = 400;  // < 512: long patterns go sentinel
   const ts::Series hay = RandomWalk(kSeriesLen, 42);
@@ -73,7 +74,7 @@ TEST(PatternStoreGolden, AllTiersBitIdenticalAcrossLengths2To512) {
 
   TierGuard guard;
 
-  // Reference: forced-scalar per-pattern scans.
+  // Reference: forced-scalar one-pattern scans.
   distance::ForceIsaTier(distance::IsaTier::kScalar);
   std::vector<distance::BestMatch> reference;
   reference.reserve(matcher.size());
@@ -101,8 +102,8 @@ TEST(PatternStoreGolden, AllTiersBitIdenticalAcrossLengths2To512) {
       EXPECT_EQ(got[i].distance, std::numeric_limits<double>::infinity());
     }
 
-    // The per-pattern scan under the same tier must agree too (it shares
-    // the dot kernels and re-gate discipline, not the window-major loop).
+    // The one-pattern scan under the same tier must agree too (the same
+    // tier kernel at count = 1, over the context's unpadded row).
     for (std::size_t i = 0; i < matcher.size(); i += 37) {
       const distance::BestMatch per_call = matcher.Match(i, ctx);
       EXPECT_EQ(per_call.position, reference[i].position);
@@ -218,7 +219,7 @@ TEST(PatternStoreLayout, MatchBucketAgreesWithMatchAll) {
 // entries, adversarial per-pattern seeds (0 prunes everything, +inf is
 // the unseeded scan, the exact best distance sits on the strict-<
 // boundary, one-ulp-above probes the other side of it). Every tier's
-// MatchAllSeeded must reproduce the cutoff-seeded per-pattern scan bit
+// MatchAllSeeded must reproduce the cutoff-seeded one-pattern scan bit
 // for bit — found-ness, position and distance.
 TEST(PatternStoreSeeded, MatchAllSeededBitIdenticalToSeededPerPatternScans) {
   constexpr std::size_t kSeriesLen = 400;  // < 512: long patterns go sentinel

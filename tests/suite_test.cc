@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
+#include "baselines/fast_shapelets.h"
+#include "baselines/rpm_adapter.h"
 #include "core/rpm.h"
 #include "ts/generators.h"
 #include "ts/rng.h"
@@ -101,6 +105,67 @@ TEST(Golden, DirectEvaluationCountPinned) {
   EXPECT_EQ(a.combos_evaluated(), b.combos_evaluated());
   EXPECT_EQ(a.sax_by_class().at(1).window, b.sax_by_class().at(1).window);
   EXPECT_EQ(a.ClassifyAll(split.test), b.ClassifyAll(split.test));
+}
+
+// The Table 1 cells whose methods run the best-match scan engine: RPM
+// (transform, distinct selection) and Fast Shapelets (candidate scoring,
+// seeded classification), on every suite dataset, as test-set
+// misclassification counts. Any scan change that moves a distance bit
+// far enough to flip one decision anywhere in training or
+// classification moves a count.
+struct ScanEngineCell {
+  const char* dataset;
+  std::size_t rpm_errors;
+  std::size_t fs_errors;
+};
+
+constexpr ScanEngineCell kScanEngineCells[] = {
+    {"CBF", 4, 5},
+    {"TwoPatterns", 19, 11},
+    {"SyntheticControl", 2, 10},
+    {"GunPoint", 1, 7},
+    {"Coffee", 0, 0},
+    {"ECGFiveDays", 0, 0},
+    {"Trace", 3, 7},
+    {"ShapeOutlines", 0, 8},
+    {"ItalyPower", 0, 0},
+    {"Wafer", 4, 33},
+    {"Symbols", 0, 2},
+    {"FaceFour", 0, 4},
+    {"Lightning", 0, 0},
+    {"MoteStrain", 0, 0},
+};
+
+std::size_t Misclassified(const baselines::Classifier& clf,
+                          const ts::Dataset& test) {
+  const std::vector<int> predicted = clf.ClassifyAll(test);
+  std::size_t errors = 0;
+  for (std::size_t i = 0; i < test.size(); ++i) {
+    if (predicted[i] != test[i].label) ++errors;
+  }
+  return errors;
+}
+
+TEST(Golden, ScanEngineTable1CellsPinned) {
+  const std::vector<ts::DatasetSplit> suite = ts::BenchmarkSuite();
+  ASSERT_EQ(suite.size(), std::size(kScanEngineCells));
+  for (std::size_t d = 0; d < suite.size(); ++d) {
+    const ts::DatasetSplit& split = suite[d];
+    const ScanEngineCell& want = kScanEngineCells[d];
+    ASSERT_EQ(split.name, want.dataset);
+    // RPM as bench/harness.h configures it for Tables 1-2.
+    core::RpmOptions opt;
+    opt.search = core::ParameterSearch::kDirect;
+    opt.direct_max_evaluations = 16;
+    opt.param_splits = 2;
+    opt.param_folds = 3;
+    baselines::RpmAdapter rpm(opt);
+    rpm.Train(split.train);
+    baselines::FastShapelets fs;
+    fs.Train(split.train);
+    EXPECT_EQ(Misclassified(rpm, split.test), want.rpm_errors) << split.name;
+    EXPECT_EQ(Misclassified(fs, split.test), want.fs_errors) << split.name;
+  }
 }
 
 }  // namespace
