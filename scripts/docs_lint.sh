@@ -2,10 +2,9 @@
 # Documentation lint, run by ctest as the `docs` label (see
 # tests/CMakeLists.txt). Two cross-checks keep the docs honest:
 #
-#  1. Every protocol verb handled in src/serve/server.cc appears in
-#     docs/SERVING.md, and so does every binary-protocol verb listed in
-#     the wire table (kVerbTable in src/net/frame.cc) together with its
-#     wire byte.
+#  1. Every protocol verb in the one verb table (kVerbTable in
+#     src/net/frame.cc, which both codecs look verbs up in) appears in
+#     docs/SERVING.md, together with its wire byte.
 #  2. Every metric family registered in the sources (rpm_*_total,
 #     rpm_*_microseconds, gauges, ...) appears in docs/OBSERVABILITY.md,
 #     and so does every trace span name recorded via TraceSpan /
@@ -24,37 +23,24 @@ cd "$(dirname "$0")/.."
 fail=0
 
 # --- 1. protocol verbs ------------------------------------------------
-verbs=$(grep -oE 'cmd == "[A-Z_]+"' src/serve/server.cc |
-        grep -oE '"[A-Z_]+"' | tr -d '"' | sort -u)
+# kVerbTable pins the verb names (the text codec accepts exactly these
+# command words); frame.h pins the wire bytes. Both must appear in
+# SERVING.md: the name anywhere, and the byte as the 0xNN literal from
+# the BinaryVerb enum.
+verbs=$(grep -oE '\{BinaryVerb::k[A-Za-z]+, "[A-Z_]+"\}' src/net/frame.cc |
+            grep -oE '"[A-Z_]+"' | tr -d '"' | sort -u)
 if [ -z "$verbs" ]; then
-  echo "docs_lint: found no verbs in src/serve/server.cc (pattern drift?)"
+  echo "docs_lint: found no verbs in src/net/frame.cc (pattern drift?)"
   fail=1
 fi
 for verb in $verbs; do
   if ! grep -q "\b${verb}\b" docs/SERVING.md; then
-    echo "docs_lint: verb ${verb} (src/serve/server.cc) missing from docs/SERVING.md"
+    echo "docs_lint: verb ${verb} (src/net/frame.cc) missing from docs/SERVING.md"
     fail=1
   fi
 done
-
-# --- 1b. binary-protocol verb table ----------------------------------
-# kVerbTable pins the verb names; frame.h pins the wire bytes. Both must
-# appear in the SERVING.md binary-protocol section: the name anywhere,
-# and the byte as the 0xNN literal from the BinaryVerb enum.
-bin_verbs=$(grep -oE '\{BinaryVerb::k[A-Za-z]+, "[A-Z_]+"\}' src/net/frame.cc |
-            grep -oE '"[A-Z_]+"' | tr -d '"' | sort -u)
-if [ -z "$bin_verbs" ]; then
-  echo "docs_lint: found no binary verbs in src/net/frame.cc (pattern drift?)"
-  fail=1
-fi
-for verb in $bin_verbs; do
-  if ! grep -q "\b${verb}\b" docs/SERVING.md; then
-    echo "docs_lint: binary verb ${verb} (src/net/frame.cc) missing from docs/SERVING.md"
-    fail=1
-  fi
-done
-bin_bytes=$(grep -oE '= 0x[0-9A-F]+,' src/net/frame.h | grep -oE '0x[0-9A-F]+' | sort -u)
-for byte in $bin_bytes; do
+verb_bytes=$(grep -oE '= 0x[0-9A-F]+,' src/net/frame.h | grep -oE '0x[0-9A-F]+' | sort -u)
+for byte in $verb_bytes; do
   if ! grep -q "${byte}" docs/SERVING.md; then
     echo "docs_lint: binary verb byte ${byte} (src/net/frame.h) missing from docs/SERVING.md"
     fail=1
@@ -100,17 +86,10 @@ done
 # --- 4. fuzz grammar verb coverage ------------------------------------
 # The fuzz grammar (src/fuzz/grammar.cc) must generate every verb in the
 # wire table: a verb added to kVerbTable without a matching production
-# silently shrinks fuzz coverage, so make the gap loud here.
-if [ -z "$bin_verbs" ]; then
-  echo "docs_lint: no binary verbs to check against the fuzz grammar (pattern drift?)"
-  fail=1
-fi
+# silently shrinks fuzz coverage, so make the gap loud here. (Section 1
+# already fails when the table yields no verbs.)
 grammar_src=src/fuzz/grammar.cc
-if ! grep -q '"CLASSIFY"' "$grammar_src"; then
-  echo "docs_lint: ${grammar_src} lost its verb literals (pattern drift?)"
-  fail=1
-fi
-for verb in $bin_verbs; do
+for verb in $verbs; do
   if ! grep -q "\"${verb}\"" "$grammar_src"; then
     echo "docs_lint: verb ${verb} (src/net/frame.cc kVerbTable) has no production in ${grammar_src}"
     fail=1
@@ -163,4 +142,4 @@ if [ "$fail" -ne 0 ]; then
   echo "docs_lint: FAILED"
   exit 1
 fi
-echo "docs_lint: OK ($(echo "$verbs" | wc -w | tr -d ' ') verbs, $(echo "$bin_verbs" | wc -w | tr -d ' ') binary verbs, $(echo "$metrics" | wc -w | tr -d ' ') metrics, $(echo "$spans" | wc -w | tr -d ' ') spans)"
+echo "docs_lint: OK ($(echo "$verbs" | wc -w | tr -d ' ') verbs, $(echo "$verb_bytes" | wc -w | tr -d ' ') verb bytes, $(echo "$metrics" | wc -w | tr -d ' ') metrics, $(echo "$spans" | wc -w | tr -d ' ') spans)"

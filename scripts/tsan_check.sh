@@ -101,6 +101,11 @@ ctest --test-dir "${asan_build_dir}" --output-on-failure -L training
 # cannot.
 ctest --test-dir "${asan_build_dir}" --output-on-failure -L fuzz
 
+# The serving suites run here too: every request on either codec goes
+# through the protocol decoders and encoders (payload reads, CSV parsing,
+# reply formatting) and the queue/session paths they dispatch to.
+ctest --test-dir "${asan_build_dir}" --output-on-failure -L 'serve|net|stream'
+
 # The dataset suites run here too: the byte-flip and truncation sweeps
 # hand the mmap parser adversarial headers, directories, and length
 # tables, where out-of-bounds offsets and count bombs are what
@@ -108,4 +113,4 @@ ctest --test-dir "${asan_build_dir}" --output-on-failure -L fuzz
 # up to the mapping's edge.
 ctest --test-dir "${asan_build_dir}" --output-on-failure -L dataset
 
-echo "ASan+UBSan matcher+training+fuzz+dataset check passed."
+echo "ASan+UBSan matcher+training+fuzz+serve+net+stream+dataset check passed."

@@ -10,18 +10,6 @@
 namespace rpm::fuzz {
 namespace {
 
-// Every verb the grammar can emit, one per serve::kVerbTable entry.
-// scripts/docs_lint.sh cross-checks this file against the wire table so
-// a new verb cannot ship unfuzzed: LOAD UNLOAD MODELS CLASSIFY STATS
-// METRICS TRACE STREAM_OPEN STREAM_FEED STREAM_CLOSE STREAMS QUIT.
-constexpr const char* kFuzzVerbs[] = {
-    "LOAD",        "UNLOAD",      "MODELS",  "CLASSIFY",
-    "STATS",       "METRICS",     "TRACE",   "STREAM_OPEN",
-    "STREAM_FEED", "STREAM_CLOSE", "STREAMS", "QUIT",
-};
-static_assert(sizeof(kFuzzVerbs) / sizeof(kFuzzVerbs[0]) == 12,
-              "grammar must cover the full verb table");
-
 // The model the harness trains and never unloads: differential requests
 // target it so the in-process engine stays a valid reference. LOAD /
 // UNLOAD productions only ever touch "aux".
@@ -453,14 +441,10 @@ std::string EncodeBinaryRequest(const FuzzRequest& req,
     // ships the line's leftover bytes as a payload that fails to decode:
     // the same one-ERR-and-continue contract as the text form.
     const std::size_t space = req.raw.find(' ');
-    const std::string name = req.raw.substr(0, space);
-    std::uint8_t verb_byte = 0x7F;  // unknown verb: one ERR, continue
-    for (std::uint8_t b = 0x01; b <= 0x0C; ++b) {
-      if (net::VerbName(b) == name) {
-        verb_byte = b;
-        break;
-      }
-    }
+    const auto verb = net::VerbFromName(req.raw.substr(0, space));
+    // An unknown verb draws one ERR and the connection continues.
+    const std::uint8_t verb_byte =
+        verb ? static_cast<std::uint8_t>(*verb) : 0x7F;
     const std::string payload =
         space == std::string::npos ? std::string() : req.raw.substr(space + 1);
     return net::EncodeFrame(verb_byte, 0, payload);

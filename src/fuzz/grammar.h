@@ -6,9 +6,10 @@
 // this file only *describes* traffic, so plans can be formatted as repro
 // scripts, minimized, and compared across runs.
 //
-// Productions cover the full verb table (pinned by scripts/docs_lint.sh
-// against serve::kVerbTable): LOAD UNLOAD MODELS CLASSIFY STATS METRICS
-// TRACE STREAM_OPEN STREAM_FEED STREAM_CLOSE STREAMS QUIT.
+// Productions cover the full verb table (scripts/docs_lint.sh requires a
+// production for every name in net's kVerbTable): LOAD UNLOAD MODELS
+// CLASSIFY STATS METRICS TRACE STREAM_OPEN STREAM_FEED STREAM_CLOSE
+// STREAMS QUIT.
 
 #ifndef RPM_FUZZ_GRAMMAR_H_
 #define RPM_FUZZ_GRAMMAR_H_

@@ -7,8 +7,9 @@ namespace rpm::net {
 
 namespace {
 
-// Verb byte -> protocol spelling. scripts/docs_lint.sh extracts this
-// table and requires every name to appear in docs/SERVING.md.
+// Verb byte <-> protocol spelling: the one verb table. The text codec
+// looks command words up here, and scripts/docs_lint.sh extracts it to
+// require every name in docs/SERVING.md and in the fuzz grammar.
 struct VerbInfo {
   BinaryVerb verb;
   std::string_view name;
@@ -52,6 +53,13 @@ std::string_view VerbName(std::uint8_t verb) {
 }
 
 bool IsKnownVerb(std::uint8_t verb) { return !VerbName(verb).empty(); }
+
+std::optional<BinaryVerb> VerbFromName(std::string_view name) {
+  for (const VerbInfo& info : kVerbTable) {
+    if (info.name == name) return info.verb;
+  }
+  return std::nullopt;
+}
 
 std::string EncodeFrame(std::uint8_t verb, std::uint8_t status,
                         std::string_view payload) {

@@ -32,6 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -74,6 +75,8 @@ inline constexpr std::size_t kFrameHeaderSize = 8;
 /// Protocol name of a verb ("LOAD", ...), empty for unknown bytes.
 std::string_view VerbName(std::uint8_t verb);
 bool IsKnownVerb(std::uint8_t verb);
+/// The verb spelled `name` (the text protocol's command word), if any.
+std::optional<BinaryVerb> VerbFromName(std::string_view name);
 
 /// One decoded frame (request or response).
 struct Frame {
@@ -181,7 +184,6 @@ class FrameAssembler {
 /// lines are discarded as they arrive and surface as kOversized exactly
 /// once — at the point where the line would have completed — so the
 /// connection can answer with an explicit error and keep going.
-/// (Formerly serve::LineAssembler; rpm::serve keeps an alias.)
 class LineAssembler {
  public:
   static constexpr std::size_t kDefaultMaxLine = std::size_t{1} << 20;

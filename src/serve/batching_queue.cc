@@ -20,6 +20,8 @@ std::string_view StatusName(StatusCode status) {
       return "NOT_FOUND";
     case StatusCode::kShutdown:
       return "SHUTDOWN";
+    case StatusCode::kBadRequest:
+      return "BAD_REQUEST";
   }
   return "UNKNOWN";
 }

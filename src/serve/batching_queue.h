@@ -42,13 +42,15 @@
 
 namespace rpm::serve {
 
-/// Terminal status of one request.
+/// Terminal status of one request. The values are the binary protocol's
+/// WireStatus bytes (pinned in serve/protocol.cc).
 enum class StatusCode {
   kOk,          ///< classified; `label` is valid
   kTimeout,     ///< deadline expired before dispatch
   kOverloaded,  ///< shed by admission control (queue full)
   kNotFound,    ///< no model registered under the requested name
   kShutdown,    ///< submitted after Shutdown began
+  kBadRequest,  ///< protocol replies only: malformed or refused request
 };
 
 /// Protocol-stable name of a status ("OK", "TIMEOUT", ...).

@@ -1,312 +1,47 @@
 #include "serve/net_handler.h"
 
-#include <algorithm>
-#include <exception>
-#include <sstream>
+#include <string>
 #include <utility>
-#include <vector>
-
-#include "obs/exposition.h"
-#include "obs/trace.h"
 
 namespace rpm::serve {
 
 namespace {
 
-using net::BinaryVerb;
-using net::EncodeFrame;
-using net::PayloadReader;
-using net::PayloadWriter;
-using net::WireStatus;
-
-net::Response ErrFrame(std::uint8_t verb, WireStatus status,
-                       const std::string& message, bool close = false) {
-  std::string payload;
-  PayloadWriter writer(&payload);
-  writer.Str(message);
-  return {EncodeFrame(verb, static_cast<std::uint8_t>(status), payload),
-          close};
-}
-
-net::Response OkFrame(std::uint8_t verb, const std::string& payload,
-                      bool close = false) {
-  return {EncodeFrame(verb, static_cast<std::uint8_t>(WireStatus::kOk),
-                      payload),
-          close};
-}
-
-WireStatus StatusToWire(StatusCode status) {
-  switch (status) {
-    case StatusCode::kOk:
-      return WireStatus::kOk;
-    case StatusCode::kTimeout:
-      return WireStatus::kTimeout;
-    case StatusCode::kOverloaded:
-      return WireStatus::kOverloaded;
-    case StatusCode::kNotFound:
-      return WireStatus::kNotFound;
-    case StatusCode::kShutdown:
-      return WireStatus::kShutdown;
+// Answers one decoded request in its connection's codec: a decode
+// failure directly, anything else through Dispatch.
+void Serve(InferenceServer* server, std::size_t shard,
+           const std::string& error, Request request,
+           std::string (*encode)(const Reply&),
+           net::RequestHandler::Respond respond) {
+  if (!error.empty()) {
+    respond({encode(Failure(request.verb, StatusCode::kBadRequest, error)),
+             false});
+    return;
   }
-  return WireStatus::kBadRequest;
-}
-
-/// Stream-open error strings -> wire status, same mapping the text
-/// protocol applies in HandleLineAsync.
-WireStatus OpenErrorToWire(const std::string& error) {
-  if (error.rfind("no model", 0) == 0) return WireStatus::kNotFound;
-  if (error == "too many open streams") return WireStatus::kOverloaded;
-  if (error == "shutting down") return WireStatus::kShutdown;
-  return WireStatus::kBadRequest;
+  const bool close = request.verb == net::BinaryVerb::kQuit;
+  server->Dispatch(
+      std::move(request), shard,
+      [encode, close, respond = std::move(respond)](const Reply& reply) {
+        respond({encode(reply), close});
+      });
 }
 
 }  // namespace
 
 void NetHandler::OnTextLine(std::size_t shard, const std::string& line,
                             Respond respond) {
-  // QUIT is connection-scoped, not server-scoped: answer and close here
-  // rather than teaching the server about connections.
-  std::istringstream in(line);
-  std::string cmd;
-  if (in >> cmd && cmd == "QUIT") {
-    respond({"OK bye", true});
-    return;
-  }
-  server_->HandleLineAsync(line, shard,
-                           [respond = std::move(respond)](std::string text) {
-                             respond({std::move(text), false});
-                           });
+  Request request;
+  const std::string error = ParseLine(line, &request);
+  Serve(server_, shard, error, std::move(request), FormatLine,
+        std::move(respond));
 }
 
 void NetHandler::OnFrame(std::size_t shard, const net::Frame& frame,
                          Respond respond) {
-  const std::uint8_t verb = frame.verb;
-  PayloadReader reader(frame.payload);
-  if (!net::IsKnownVerb(verb)) {
-    respond(ErrFrame(verb, WireStatus::kBadRequest,
-                     "unknown verb " + std::to_string(int(verb)),
-                     /*close=*/false));
-    return;
-  }
-
-  switch (static_cast<BinaryVerb>(verb)) {
-    case BinaryVerb::kQuit: {
-      respond(OkFrame(verb, "", /*close=*/true));
-      return;
-    }
-    case BinaryVerb::kStats: {
-      // Bulk bodies ride as blobs (u32 length): multi-shard exposition
-      // and span dumps routinely exceed the u16 `str` bound, which
-      // would silently truncate them.
-      std::string payload;
-      PayloadWriter writer(&payload);
-      writer.Blob(server_->Stats().ToJson());
-      respond(OkFrame(verb, payload));
-      return;
-    }
-    case BinaryVerb::kMetrics: {
-      std::string payload;
-      PayloadWriter writer(&payload);
-      writer.Blob(server_->MetricsText());
-      respond(OkFrame(verb, payload));
-      return;
-    }
-    case BinaryVerb::kTrace: {
-      std::uint32_t n = 0;
-      if (!reader.U32(&n)) {
-        respond(ErrFrame(verb, WireStatus::kBadRequest,
-                         "TRACE payload: u32 span count"));
-        return;
-      }
-      if (n == 0) n = 32;
-      n = std::min<std::uint32_t>(n, 1024);
-      const auto spans = obs::Tracer::Default().Recent(n);
-      std::string payload;
-      PayloadWriter writer(&payload);
-      writer.Blob(obs::RenderSpansJson(spans));
-      respond(OkFrame(verb, payload));
-      return;
-    }
-    case BinaryVerb::kModels: {
-      const std::vector<std::string> names = server_->registry().Names();
-      std::string payload;
-      PayloadWriter writer(&payload);
-      writer.U32(std::uint32_t(names.size()));
-      for (const auto& name : names) writer.Str(name);
-      respond(OkFrame(verb, payload));
-      return;
-    }
-    case BinaryVerb::kLoad: {
-      std::string name;
-      std::string path;
-      if (!reader.Str(&name) || !reader.Str(&path)) {
-        respond(ErrFrame(verb, WireStatus::kBadRequest,
-                         "LOAD payload: str name, str path"));
-        return;
-      }
-      try {
-        const std::size_t patterns = server_->LoadModel(name, path);
-        std::string payload;
-        PayloadWriter writer(&payload);
-        writer.Str(name);
-        writer.U64(patterns);
-        respond(OkFrame(verb, payload));
-      } catch (const std::exception& e) {
-        respond(ErrFrame(verb, WireStatus::kBadRequest, e.what()));
-      }
-      return;
-    }
-    case BinaryVerb::kUnload: {
-      std::string name;
-      if (!reader.Str(&name)) {
-        respond(ErrFrame(verb, WireStatus::kBadRequest,
-                         "UNLOAD payload: str name"));
-        return;
-      }
-      if (!server_->UnloadModel(name)) {
-        respond(ErrFrame(verb, WireStatus::kNotFound,
-                         "no model named '" + name + "'"));
-        return;
-      }
-      std::string payload;
-      PayloadWriter writer(&payload);
-      writer.Str(name);
-      respond(OkFrame(verb, payload));
-      return;
-    }
-    case BinaryVerb::kClassify: {
-      std::string model;
-      std::uint32_t timeout_ms = 0;
-      std::vector<double> values;
-      if (!reader.Str(&model) || !reader.U32(&timeout_ms) ||
-          !reader.F64Array(&values) || values.empty()) {
-        respond(ErrFrame(
-            verb, WireStatus::kBadRequest,
-            "CLASSIFY payload: str model, u32 timeout_ms, f64[] values"));
-        return;
-      }
-      const std::chrono::microseconds timeout =
-          timeout_ms == 0 ? std::chrono::microseconds(
-                                server_->default_timeout())
-                          : std::chrono::microseconds(
-                                std::chrono::milliseconds(timeout_ms));
-      server_->ClassifyWithCallback(
-          model, ts::Series(values.begin(), values.end()), timeout, shard,
-          [respond = std::move(respond), verb,
-           model](ClassifyResult result) {
-            if (result.status != StatusCode::kOk) {
-              const std::string detail =
-                  result.status == StatusCode::kNotFound
-                      ? "no model named '" + model + "'"
-                      : std::string(StatusName(result.status));
-              respond(ErrFrame(verb, StatusToWire(result.status), detail));
-              return;
-            }
-            std::string payload;
-            PayloadWriter writer(&payload);
-            writer.I32(result.label);
-            respond(OkFrame(verb, payload));
-          });
-      return;
-    }
-    case BinaryVerb::kStreamOpen: {
-      std::string model;
-      std::uint32_t window = 0;
-      std::uint32_t hop = 0;
-      double early_fraction = 0.0;
-      double early_margin = 0.0;
-      if (!reader.Str(&model) || !reader.U32(&window) || !reader.U32(&hop) ||
-          !reader.F64(&early_fraction) || !reader.F64(&early_margin) ||
-          window == 0) {
-        respond(ErrFrame(verb, WireStatus::kBadRequest,
-                         "STREAM_OPEN payload: str model, u32 window, u32 "
-                         "hop, f64 early_fraction, f64 early_margin"));
-        return;
-      }
-      stream::StreamOptions opts;
-      opts.window = window;
-      opts.hop = hop;
-      opts.early_fraction = early_fraction;
-      opts.early_margin = early_margin;
-      const auto result = server_->OpenStream(model, opts, shard);
-      if (!result.ok) {
-        respond(ErrFrame(verb, OpenErrorToWire(result.error), result.error));
-        return;
-      }
-      std::string payload;
-      PayloadWriter writer(&payload);
-      writer.Str(result.id);
-      writer.U32(window);
-      writer.U32(hop == 0 ? window : hop);
-      respond(OkFrame(verb, payload));
-      return;
-    }
-    case BinaryVerb::kStreamFeed: {
-      std::string id;
-      std::vector<double> values;
-      if (!reader.Str(&id) || !reader.F64Array(&values) || values.empty()) {
-        respond(ErrFrame(verb, WireStatus::kBadRequest,
-                         "STREAM_FEED payload: str id, f64[] values"));
-        return;
-      }
-      const auto result = server_->FeedStream(
-          id, ts::SeriesView(values.data(), values.size()));
-      using FeedStatus = stream::StreamSessionManager::FeedStatus;
-      if (result.status == FeedStatus::kNotFound) {
-        respond(ErrFrame(verb, WireStatus::kNotFound,
-                         "no stream named '" + id + "'"));
-        return;
-      }
-      if (result.status == FeedStatus::kShutdown) {
-        respond(ErrFrame(verb, WireStatus::kShutdown, "shutting down"));
-        return;
-      }
-      std::string payload;
-      PayloadWriter writer(&payload);
-      writer.U32(std::uint32_t(result.accepted));
-      writer.U32(std::uint32_t(result.decisions.size()));
-      for (const auto& d : result.decisions) {
-        writer.U64(d.window_index);
-        writer.I32(d.label);
-        writer.F64(d.margin);
-        writer.U8(d.early ? 1 : 0);
-      }
-      respond(OkFrame(verb, payload));
-      return;
-    }
-    case BinaryVerb::kStreamClose: {
-      std::string id;
-      if (!reader.Str(&id)) {
-        respond(ErrFrame(verb, WireStatus::kBadRequest,
-                         "STREAM_CLOSE payload: str id"));
-        return;
-      }
-      const auto result = server_->CloseStream(id);
-      if (!result.found) {
-        respond(ErrFrame(verb, WireStatus::kNotFound,
-                         "no stream named '" + id + "'"));
-        return;
-      }
-      std::string payload;
-      PayloadWriter writer(&payload);
-      writer.U64(result.summary.samples);
-      writer.U64(result.summary.windows_scored);
-      writer.U64(result.summary.decisions);
-      writer.U64(result.summary.early_decisions);
-      respond(OkFrame(verb, payload));
-      return;
-    }
-    case BinaryVerb::kStreams: {
-      const std::vector<std::string> ids = server_->StreamIds();
-      std::string payload;
-      PayloadWriter writer(&payload);
-      writer.U32(std::uint32_t(ids.size()));
-      for (const auto& id : ids) writer.Str(id);
-      respond(OkFrame(verb, payload));
-      return;
-    }
-  }
-  respond(ErrFrame(verb, WireStatus::kBadRequest, "unhandled verb"));
+  Request request;
+  const std::string error = DecodeRequest(frame, &request);
+  Serve(server_, shard, error, std::move(request), EncodeReply,
+        std::move(respond));
 }
 
 }  // namespace rpm::serve

@@ -1,13 +1,13 @@
 // Bridge between the sharded network front end (src/net) and the
 // inference server: implements net::RequestHandler for both codecs.
 //
-// Text lines go straight to InferenceServer::HandleLineAsync on the
-// connection's shard. Binary frames are decoded here — this file is the
-// authoritative implementation of the per-verb payload layouts specced
-// in docs/SERVING.md ("Binary protocol") — dispatched to the same
-// server calls, and the results re-encoded as response frames. Both
-// paths answer CLASSIFY asynchronously (from the shard's batching
-// dispatcher), which is why `respond` is a callback.
+// Each text line or binary frame is decoded by its codec
+// (serve/protocol.h), run by InferenceServer::Dispatch on the
+// connection's shard, and the reply encoded by the same codec. Dispatch
+// answers CLASSIFY asynchronously (from the shard's batching
+// dispatcher), which is why `respond` is a callback. QUIT is
+// connection-scoped: the server answers it like any verb, and the
+// handler closes the connection after the reply.
 //
 // The handler is stateless per request apart from the server pointer,
 // so one instance serves every shard concurrently.

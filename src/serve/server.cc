@@ -1,16 +1,27 @@
 #include "serve/server.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <exception>
-#include <sstream>
 #include <utility>
 
 #include "obs/exposition.h"
 #include "obs/trace.h"
 
 namespace rpm::serve {
+
+using net::BinaryVerb;
+
+namespace {
+
+std::string NoModel(const std::string& name) {
+  return "no model named '" + name + "'";
+}
+
+std::string NoStream(const std::string& id) {
+  return "no stream named '" + id + "'";
+}
+
+}  // namespace
 
 // One lock domain: a batching queue and a session manager that only
 // this shard's traffic touches, plus the shard-labeled metric cells.
@@ -155,7 +166,8 @@ stream::StreamSessionManager::OpenResult InferenceServer::OpenStream(
   if (handle == nullptr) {
     stats_.RecordNotFound();
     stream::StreamSessionManager::OpenResult result;
-    result.error = "no model named '" + model + "'";
+    result.status = stream::StreamSessionManager::OpenStatus::kNotFound;
+    result.error = NoModel(model);
     return result;
   }
   stream::StreamModel pinned;
@@ -221,233 +233,121 @@ std::string InferenceServer::MetricsText() const {
   return obs::RenderPrometheus({&server_snap, &process_snap});
 }
 
-namespace {
-
-// "1.5,2,-0.25" (or space-separated) -> Series; false on any non-number.
-bool ParseValues(const std::string& text, ts::Series* out) {
-  out->clear();
-  std::string token;
-  std::string normalized = text;
-  for (char& c : normalized) {
-    if (c == ',') c = ' ';
-  }
-  std::istringstream fields(normalized);
-  while (fields >> token) {
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') return false;
-    out->push_back(v);
-  }
-  return !out->empty();
-}
-
-std::string Err(std::string_view code, const std::string& detail) {
-  std::string out = "ERR ";
-  out += code;
-  if (!detail.empty()) {
-    out += ' ';
-    out += detail;
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string InferenceServer::HandleLine(const std::string& line) {
+  Request request;
+  const std::string error = ParseLine(line, &request);
+  if (!error.empty()) {
+    return FormatLine(Failure(request.verb, StatusCode::kBadRequest, error));
+  }
+  // Shared, not on this stack: set_value can still be returning on the
+  // dispatcher thread after get() has woken this one.
   auto promise = std::make_shared<std::promise<std::string>>();
   std::future<std::string> future = promise->get_future();
-  HandleLineAsync(line, 0, [promise](std::string response) {
-    promise->set_value(std::move(response));
+  Dispatch(std::move(request), 0, [promise](const Reply& reply) {
+    promise->set_value(FormatLine(reply));
   });
   return future.get();
 }
 
-void InferenceServer::HandleLineAsync(
-    const std::string& line, std::size_t shard,
-    std::function<void(std::string)> respond) {
-  std::istringstream in(line);
-  std::string cmd;
-  if (!(in >> cmd)) return respond(Err("BAD_REQUEST", "empty line"));
-
-  if (cmd == "QUIT") return respond("OK bye");
-  if (cmd == "STATS") return respond("OK " + stats_.Snapshot().ToJson());
-  if (cmd == "METRICS") {
-    // HandleLine responses carry no trailing newline (the socket loop
-    // appends one), so strip the expositor's final '\n'.
-    std::string text = "OK metrics\n" + MetricsText();
-    if (!text.empty() && text.back() == '\n') text.pop_back();
-    return respond(std::move(text));
-  }
-  if (cmd == "TRACE") {
-    long n = 32;
-    if (in >> n) {
-      if (n <= 0) {
-        return respond(Err("BAD_REQUEST", "span count must be positive"));
+void InferenceServer::Dispatch(Request request, std::size_t shard,
+                               ReplyCallback done) {
+  using OpenStatus = stream::StreamSessionManager::OpenStatus;
+  using FeedStatus = stream::StreamSessionManager::FeedStatus;
+  const BinaryVerb verb = request.verb;
+  Reply reply;
+  reply.verb = verb;
+  switch (verb) {
+    case BinaryVerb::kLoad:
+      try {
+        reply.count = LoadModel(request.name, request.path);
+        reply.name = request.name;
+      } catch (const std::exception& e) {
+        reply = Failure(verb, StatusCode::kBadRequest, e.what());
       }
-      n = std::min(n, 1024L);
-    }
-    const auto spans = obs::Tracer::Default().Recent(std::size_t(n));
-    return respond("OK " + obs::RenderSpansJson(spans));
-  }
-  if (cmd == "MODELS") {
-    const std::vector<std::string> names = registry_.Names();
-    std::string out = "OK " + std::to_string(names.size());
-    for (const auto& n : names) out += ' ' + n;
-    return respond(std::move(out));
-  }
-  if (cmd == "LOAD") {
-    std::string name;
-    std::string path;
-    if (!(in >> name >> path)) {
-      return respond(Err("BAD_REQUEST", "usage: LOAD <name> <path>"));
-    }
-    try {
-      const std::size_t patterns = LoadModel(name, path);
-      return respond("OK loaded " + name +
-                     " patterns=" + std::to_string(patterns));
-    } catch (const std::exception& e) {
-      return respond(Err("BAD_REQUEST", e.what()));
-    }
-  }
-  if (cmd == "UNLOAD") {
-    std::string name;
-    if (!(in >> name)) {
-      return respond(Err("BAD_REQUEST", "usage: UNLOAD <name>"));
-    }
-    if (!UnloadModel(name)) {
-      return respond(Err("NOT_FOUND", "no model named '" + name + "'"));
-    }
-    return respond("OK unloaded " + name);
-  }
-  if (cmd == "CLASSIFY") {
-    std::string name;
-    std::string csv;
-    if (!(in >> name >> csv)) {
-      return respond(
-          Err("BAD_REQUEST", "usage: CLASSIFY <name> <v1,v2,...> [ms]"));
-    }
-    std::chrono::microseconds timeout = options_.default_timeout;
-    long timeout_ms = 0;
-    if (in >> timeout_ms) {
-      if (timeout_ms <= 0) {
-        return respond(Err("BAD_REQUEST", "timeout must be positive"));
+      break;
+    case BinaryVerb::kUnload:
+      if (!UnloadModel(request.name)) {
+        reply = Failure(verb, StatusCode::kNotFound, NoModel(request.name));
       }
-      timeout = std::chrono::milliseconds(timeout_ms);
+      reply.name = request.name;
+      break;
+    case BinaryVerb::kModels:
+      reply.names = registry_.Names();
+      break;
+    case BinaryVerb::kClassify: {
+      // The one asynchronous verb: the reply is produced when the
+      // micro-batch dispatches, on the shard's dispatcher thread.
+      const std::chrono::microseconds timeout =
+          request.timeout.count() == 0 ? options_.default_timeout
+                                       : request.timeout;
+      ClassifyWithCallback(
+          request.name, std::move(request.values), timeout, shard,
+          [done = std::move(done), name = request.name](ClassifyResult result) {
+            Reply reply;
+            reply.verb = BinaryVerb::kClassify;
+            reply.status = result.status;
+            reply.label = result.label;
+            if (result.status == StatusCode::kNotFound) {
+              reply.error = NoModel(name);
+            }
+            done(reply);
+          });
+      return;
     }
-    ts::Series values;
-    if (!ParseValues(csv, &values)) {
-      return respond(Err("BAD_REQUEST", "malformed values '" + csv + "'"));
-    }
-    // The one asynchronous verb: the response is produced when the
-    // micro-batch dispatches, on the shard's dispatcher thread.
-    ClassifyWithCallback(
-        name, std::move(values), timeout, shard,
-        [respond = std::move(respond), name](ClassifyResult result) {
-          if (result.status == StatusCode::kOk) {
-            return respond("OK " + std::to_string(result.label));
-          }
-          if (result.status == StatusCode::kNotFound) {
-            return respond(
-                Err("NOT_FOUND", "no model named '" + name + "'"));
-          }
-          respond(Err(StatusName(result.status), ""));
-        });
-    return;
-  }
-  if (cmd == "STREAM_OPEN") {
-    std::string name;
-    long window = 0;
-    if (!(in >> name >> window) || window <= 0) {
-      return respond(Err(
-          "BAD_REQUEST",
-          "usage: STREAM_OPEN <model> <window> [hop] [early_frac] "
-          "[early_margin]"));
-    }
-    stream::StreamOptions opts;
-    opts.window = static_cast<std::size_t>(window);
-    long hop = 0;
-    if (in >> hop) {
-      if (hop < 0) {
-        return respond(Err("BAD_REQUEST", "hop must be non-negative"));
+    case BinaryVerb::kStats:
+      reply.body = stats_.Snapshot().ToJson();
+      break;
+    case BinaryVerb::kMetrics:
+      reply.body = MetricsText();
+      break;
+    case BinaryVerb::kTrace:
+      reply.body = obs::RenderSpansJson(
+          obs::Tracer::Default().Recent(request.trace_count));
+      break;
+    case BinaryVerb::kStreamOpen: {
+      const auto result = OpenStream(request.name, request.stream, shard);
+      if (result.ok) {
+        reply.name = result.id;
+        reply.window = request.stream.window;
+        reply.hop = request.stream.hop;
+        break;
       }
-      opts.hop = static_cast<std::size_t>(hop);
+      const StatusCode status =
+          result.status == OpenStatus::kNotFound     ? StatusCode::kNotFound
+          : result.status == OpenStatus::kOverloaded ? StatusCode::kOverloaded
+          : result.status == OpenStatus::kShutdown   ? StatusCode::kShutdown
+                                                     : StatusCode::kBadRequest;
+      reply = Failure(verb, status, result.error);
+      break;
     }
-    double early_fraction = 0.0;
-    if (in >> early_fraction) opts.early_fraction = early_fraction;
-    double early_margin = 0.0;
-    if (in >> early_margin) opts.early_margin = early_margin;
-    const auto result = OpenStream(name, opts, shard);
-    if (!result.ok) {
-      if (result.error.rfind("no model", 0) == 0) {
-        return respond(Err("NOT_FOUND", result.error));
+    case BinaryVerb::kStreamFeed: {
+      auto result = FeedStream(request.name, request.values);
+      if (result.status == FeedStatus::kNotFound) {
+        reply = Failure(verb, StatusCode::kNotFound, NoStream(request.name));
+      } else if (result.status == FeedStatus::kShutdown) {
+        reply = Failure(verb, StatusCode::kShutdown, "shutting down");
+      } else {
+        reply.count = result.accepted;
+        reply.decisions = std::move(result.decisions);
       }
-      if (result.error == "too many open streams") {
-        return respond(Err("OVERLOADED", result.error));
+      break;
+    }
+    case BinaryVerb::kStreamClose: {
+      const auto result = CloseStream(request.name);
+      if (!result.found) {
+        reply = Failure(verb, StatusCode::kNotFound, NoStream(request.name));
       }
-      if (result.error == "shutting down") {
-        return respond(Err("SHUTDOWN", result.error));
-      }
-      return respond(Err("BAD_REQUEST", result.error));
+      reply.name = request.name;
+      reply.summary = result.summary;
+      break;
     }
-    // Echo the normalized geometry (hop defaulting happened in Open).
-    return respond(
-        "OK stream " + result.id + " window=" + std::to_string(window) +
-        " hop=" + std::to_string(opts.hop == 0 ? opts.window : opts.hop));
+    case BinaryVerb::kStreams:
+      reply.names = StreamIds();
+      break;
+    case BinaryVerb::kQuit:
+      break;
   }
-  if (cmd == "STREAM_FEED") {
-    std::string id;
-    std::string csv;
-    if (!(in >> id >> csv)) {
-      return respond(
-          Err("BAD_REQUEST", "usage: STREAM_FEED <id> <v1,v2,...>"));
-    }
-    ts::Series values;
-    if (!ParseValues(csv, &values)) {
-      return respond(Err("BAD_REQUEST", "malformed values '" + csv + "'"));
-    }
-    const auto result =
-        FeedStream(id, ts::SeriesView(values.data(), values.size()));
-    if (result.status == stream::StreamSessionManager::FeedStatus::kNotFound) {
-      return respond(Err("NOT_FOUND", "no stream named '" + id + "'"));
-    }
-    if (result.status == stream::StreamSessionManager::FeedStatus::kShutdown) {
-      return respond(Err("SHUTDOWN", ""));
-    }
-    std::string out = "OK fed " + std::to_string(result.accepted) +
-                      " decisions=" + std::to_string(result.decisions.size());
-    char item[96];
-    for (const auto& d : result.decisions) {
-      std::snprintf(item, sizeof(item), " %llu:%d:%.3f",
-                    static_cast<unsigned long long>(d.window_index), d.label,
-                    d.margin);
-      out += item;
-      if (d.early) out += ":early";
-    }
-    return respond(std::move(out));
-  }
-  if (cmd == "STREAM_CLOSE") {
-    std::string id;
-    if (!(in >> id)) {
-      return respond(Err("BAD_REQUEST", "usage: STREAM_CLOSE <id>"));
-    }
-    const auto result = CloseStream(id);
-    if (!result.found) {
-      return respond(Err("NOT_FOUND", "no stream named '" + id + "'"));
-    }
-    const stream::StreamSummary& s = result.summary;
-    return respond("OK closed " + id + " samples=" +
-                   std::to_string(s.samples) +
-                   " windows=" + std::to_string(s.windows_scored) +
-                   " decisions=" + std::to_string(s.decisions) +
-                   " early=" + std::to_string(s.early_decisions));
-  }
-  if (cmd == "STREAMS") {
-    const std::vector<std::string> ids = StreamIds();
-    std::string out = "OK " + std::to_string(ids.size());
-    for (const auto& id : ids) out += ' ' + id;
-    return respond(std::move(out));
-  }
-  respond(Err("BAD_REQUEST", "unknown command '" + cmd + "'"));
+  done(reply);
 }
 
 }  // namespace rpm::serve

@@ -1,50 +1,12 @@
 // The inference server: registry + batching queue + stats behind one
-// facade, with both an in-process C++ API (tests, benches, embedding)
-// and a line-oriented text protocol (the socket front end in
-// examples/rpm_serve.cc). One request line maps to one response line:
-//
-//   LOAD <name> <path>                  -> OK loaded <name> patterns=<K>
-//   UNLOAD <name>                       -> OK unloaded <name>
-//   MODELS                              -> OK <n> <name...>
-//   CLASSIFY <name> <v1,v2,...> [T_MS]  -> OK <label>
-//   STATS                               -> OK <one-line JSON>
-//   METRICS                             -> OK metrics\n<Prometheus text>
-//                                          ...terminated by a "# EOF" line
-//   TRACE [n]                           -> OK <spans JSON array>
-//   QUIT                                -> OK bye
-//
-// METRICS is the one multi-line response in the protocol: the first
-// line is "OK metrics", then the Prometheus exposition of the server's
-// metric registry plus the process-default registry (matcher counters),
-// ending with "# EOF". STATS and METRICS are views of the same
-// obs::MetricRegistry, so their request counts agree once traffic has
-// drained. TRACE returns the most recent n (default 32, max 1024)
-// finished trace spans as one JSON line; tracing must be enabled on the
-// process tracer (rpm_serve --trace-sample) for spans to accumulate.
-//
-// Streaming verbs (src/stream) ride the same line protocol; session ids
-// name server-side per-stream state, so these lines ARE stateful across
-// a connection's lifetime (any connection may drive any session):
-//
-//   STREAM_OPEN <model> <window> [hop] [early_frac] [early_margin]
-//                                       -> OK stream <id> window=W hop=H
-//   STREAM_FEED <id> <v1,v2,...>        -> OK fed <n> decisions=<d>
-//                                            [<k>:<label>:<margin>[:early]...]
-//   STREAM_CLOSE <id>                   -> OK closed <id> samples=...
-//                                            windows=... decisions=... early=...
-//   STREAMS                             -> OK <n> <id...>
-//
-// STREAM_FEED may accept fewer samples than offered (backpressure: the
-// session ring is full); the producer re-offers the remainder.
-//
-// The same verbs are also reachable over the length-prefixed binary
-// framing (net/frame.h); serve/net_handler.h is the bridge that decodes
-// binary requests into the calls below and encodes the replies.
-//
-// Failures answer "ERR <CODE> <detail>", where CODE is one of TIMEOUT,
-// OVERLOADED, NOT_FOUND, SHUTDOWN, BAD_REQUEST. Apart from stream
-// sessions the protocol carries no connection state, so HandleLine is
-// safe to call from any number of connection threads concurrently.
+// facade, with an in-process C++ API (tests, benches, embedding) and
+// Dispatch, which runs every protocol verb. Both wire codecs (text lines
+// and binary frames, see serve/protocol.h) decode into one Request and
+// encode the one Reply, so each verb has exactly one implementation;
+// docs/SERVING.md specifies the verbs, their replies and the error
+// codes. Apart from stream sessions the protocol carries no connection
+// state, so Dispatch and HandleLine are safe to call from any number of
+// connection threads concurrently.
 //
 // Sharding: with ServerOptions::num_shards = S > 1 the server holds S
 // independent (BatchingQueue, StreamSessionManager) pairs. A shard is a
@@ -68,9 +30,9 @@
 #include <string_view>
 #include <vector>
 
-#include "net/frame.h"
 #include "serve/batching_queue.h"
 #include "serve/model_registry.h"
+#include "serve/protocol.h"
 #include "serve/server_stats.h"
 #include "stream/session_manager.h"
 #include "stream/stream_scorer.h"
@@ -88,10 +50,6 @@ struct ServerOptions {
   /// Independent queue+session lock domains; see the file comment.
   std::size_t num_shards = 1;
 };
-
-/// The line reassembler moved to src/net with the rest of the wire
-/// framing; the alias keeps the historical serve:: name working.
-using LineAssembler = net::LineAssembler;
 
 class InferenceServer {
  public:
@@ -173,21 +131,23 @@ class InferenceServer {
   /// once (STATS: opened == closed + evicted). Idempotent.
   void Shutdown();
 
-  // ---- Text protocol ----
+  // ---- Protocol ----
 
-  /// Handles one protocol line (no trailing newline) and returns the
-  /// response line. Thread-safe; CLASSIFY blocks the calling connection
-  /// thread until its batch completes, which is what lets concurrent
-  /// connections form batches.
+  /// Runs one decoded request; the only place verb semantics live. The
+  /// request is taken by value so CLASSIFY can move its samples into the
+  /// batching queue. `done` is called exactly once — inline for every
+  /// verb except CLASSIFY, which answers from shard `shard`'s dispatcher
+  /// thread when its micro-batch completes. STREAM_OPEN opens on
+  /// `shard`; the other stream verbs run on the calling thread against
+  /// the session's home shard.
+  using ReplyCallback = std::function<void(const Reply&)>;
+  void Dispatch(Request request, std::size_t shard, ReplyCallback done);
+
+  /// One text protocol line (no trailing newline) in, its response line
+  /// out: ParseLine, Dispatch on shard 0, FormatLine. Blocks the caller
+  /// until CLASSIFY's batch completes, which is what lets concurrent
+  /// callers form batches.
   std::string HandleLine(const std::string& line);
-
-  /// Non-blocking form for the event-driven front end: `respond` is
-  /// called exactly once with the response line — inline for every verb
-  /// except CLASSIFY, which answers from shard `shard`'s dispatcher
-  /// thread when its micro-batch completes. Stream verbs run on the
-  /// calling thread against the session's home shard.
-  void HandleLineAsync(const std::string& line, std::size_t shard,
-                       std::function<void(std::string)> respond);
 
  private:
   struct Shard;

@@ -55,10 +55,12 @@ StreamSessionManager::OpenResult StreamSessionManager::Open(
   {
     std::unique_lock lock(map_mu_);
     if (shutdown_) {
+      result.status = OpenStatus::kShutdown;
       result.error = "shutting down";
       return result;
     }
     if (sessions_.size() >= options_.max_sessions) {
+      result.status = OpenStatus::kOverloaded;
       result.error = "too many open streams";
       return result;
     }
@@ -67,6 +69,7 @@ StreamSessionManager::OpenResult StreamSessionManager::Open(
     sessions_.emplace(result.id, std::move(session));
   }
   result.ok = true;
+  result.status = OpenStatus::kOk;
   if (sink_ != nullptr) sink_->OnOpen();
   return result;
 }

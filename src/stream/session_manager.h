@@ -100,8 +100,12 @@ class StreamSessionManager {
   StreamSessionManager(const StreamSessionManager&) = delete;
   StreamSessionManager& operator=(const StreamSessionManager&) = delete;
 
+  /// Why an Open failed. kNotFound is the caller's: the manager takes a
+  /// model, not a name (serve::InferenceServer::OpenStream sets it).
+  enum class OpenStatus { kOk, kInvalid, kNotFound, kOverloaded, kShutdown };
   struct OpenResult {
     bool ok = false;
+    OpenStatus status = OpenStatus::kInvalid;
     std::string id;     ///< "s<N>" on success
     std::string error;  ///< why not, on failure
   };

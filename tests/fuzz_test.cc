@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <fstream>
 #include <set>
@@ -22,6 +24,8 @@
 #include "fuzz/rng.h"
 #include "ml/simple_classifiers.h"
 #include "ml/svm.h"
+#include "net/frame.h"
+#include "serve/protocol.h"
 
 namespace rpm {
 namespace {
@@ -145,6 +149,67 @@ TEST(FuzzGrammarTest, TextAndBinaryEncodersAreDeterministic) {
                 fuzz::EncodeBinaryRequest(req, "s1"));
     }
   }
+}
+
+// Samples compare bitwise (NaN included). The early-classification
+// margin is compared only when early classification is on: otherwise it
+// is unused, and text leaves it at the StreamOptions default while
+// binary always sends one.
+bool SameRequest(const serve::Request& a, const serve::Request& b) {
+  const auto same_bits = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
+  const stream::StreamOptions& sa = a.stream;
+  const stream::StreamOptions& sb = b.stream;
+  return a.verb == b.verb && a.name == b.name && a.path == b.path &&
+         std::equal(a.values.begin(), a.values.end(), b.values.begin(),
+                    b.values.end(), same_bits) &&
+         a.timeout == b.timeout && a.trace_count == b.trace_count &&
+         sa.window == sb.window && sa.hop == sb.hop &&
+         sa.znorm_windows == sb.znorm_windows &&
+         sa.stats_refresh_interval == sb.stats_refresh_interval &&
+         sa.capacity == sb.capacity &&
+         same_bits(sa.early_fraction, sb.early_fraction) &&
+         (sa.early_fraction <= 0.0 ||
+          same_bits(sa.early_margin, sb.early_margin));
+}
+
+TEST(FuzzGrammarTest, TextAndBinaryDecodeToTheSameRequest) {
+  // The grammar's own encoders are the independent reference: every
+  // production they can write in both codecs must decode to the same
+  // Request, or be refused by both.
+  std::size_t agreed = 0;
+  std::size_t refused = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    for (const auto& conn : fuzz::GenerateProtocolPlan(seed).conns) {
+      for (const auto& req : conn.requests) {
+        if (req.use_raw) continue;
+        const std::string line = fuzz::EncodeTextRequest(req, "s1");
+        serve::Request text;
+        const std::string text_error = serve::ParseLine(line, &text);
+        net::FrameAssembler assembler;
+        assembler.Append(fuzz::EncodeBinaryRequest(req, "s1"));
+        net::Frame frame;
+        ASSERT_EQ(assembler.Next(&frame),
+                  net::FrameAssembler::FrameStatus::kFrame);
+        serve::Request binary;
+        const std::string binary_error = serve::DecodeRequest(frame, &binary);
+        ASSERT_EQ(text_error.empty(), binary_error.empty())
+            << "seed " << seed << " '" << line.substr(0, 80) << "': text '"
+            << text_error << "', binary '" << binary_error << "'";
+        if (!text_error.empty()) {
+          ++refused;
+          continue;
+        }
+        EXPECT_TRUE(SameRequest(text, binary))
+            << "seed " << seed << " '" << line.substr(0, 80) << "'";
+        ++agreed;
+      }
+    }
+  }
+  // Both outcomes occur: window-0 STREAM_OPENs are refused by both.
+  EXPECT_GT(agreed, 0u);
+  EXPECT_GT(refused, 0u);
 }
 
 // ---- Mutator ----

@@ -514,6 +514,25 @@ TEST(ShardedServer, ShutdownClosesEverySessionExactlyOnce) {
   EXPECT_EQ(stats.streams_closed, 8u)
       << "every opened session closed exactly once "
       << "(opened == closed + evicted)";
+
+  // Stream verbs after shutdown: both codecs give the same detail.
+  EXPECT_EQ(server.HandleLine("STREAM_FEED " + ids[1] + " 1,2,3"),
+            "ERR SHUTDOWN shutting down");
+  EXPECT_EQ(server.HandleLine("STREAM_OPEN cbf 64"),
+            "ERR SHUTDOWN shutting down");
+  serve::NetHandler handler(&server);
+  std::string feed;
+  PayloadWriter feed_writer(&feed);
+  feed_writer.Str(ids[1]);
+  const double sample = 1.0;
+  feed_writer.F64Array(&sample, 1);
+  net::Response response;
+  handler.OnFrame(0, Frame{std::uint8_t(BinaryVerb::kStreamFeed), 0, feed},
+                  [&response](net::Response r) { response = std::move(r); });
+  std::string detail;
+  PayloadWriter(&detail).Str("shutting down");
+  EXPECT_EQ(response.bytes, net::EncodeFrame(BinaryVerb::kStreamFeed,
+                                             WireStatus::kShutdown, detail));
 }
 
 TEST(ShardedServer, ClassifyWithCallbackDeliversExactlyOnce) {

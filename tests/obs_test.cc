@@ -555,6 +555,9 @@ TEST(ServeObservability, MetricsAndTraceVerbs) {
   EXPECT_EQ(trace.back(), ']');
   EXPECT_EQ(server.HandleLine("TRACE 0").rfind("ERR BAD_REQUEST", 0), 0u);
   EXPECT_EQ(server.HandleLine("TRACE -3").rfind("ERR BAD_REQUEST", 0), 0u);
+  // A count that is present but not a number is refused too, rather than
+  // read as 0 ("no limit") and bypassing the 1024 cap.
+  EXPECT_EQ(server.HandleLine("TRACE abc").rfind("ERR BAD_REQUEST", 0), 0u);
 }
 
 }  // namespace

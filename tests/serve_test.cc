@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "net/frame.h"
 #include "serve/server.h"
 #include "ts/generators.h"
 
@@ -271,6 +272,8 @@ TEST(InferenceServer, ProtocolRoundTrip) {
             "ERR BAD_REQUEST");
   EXPECT_EQ(server.HandleLine("CLASSIFY gp").substr(0, 15),
             "ERR BAD_REQUEST");
+  EXPECT_EQ(server.HandleLine("CLASSIFY gp " + csv + " abc").substr(0, 15),
+            "ERR BAD_REQUEST");
   EXPECT_EQ(server.HandleLine("LOAD gp /no/such/file").substr(0, 15),
             "ERR BAD_REQUEST");
   EXPECT_EQ(server.HandleLine("BOGUS").substr(0, 15), "ERR BAD_REQUEST");
@@ -283,10 +286,10 @@ TEST(InferenceServer, ProtocolRoundTrip) {
 
 // ---------------- LineAssembler (connection framing) ----------------
 
-using LineStatus = serve::LineAssembler::LineStatus;
+using LineStatus = net::LineAssembler::LineStatus;
 
 TEST(LineAssembler, ReassemblesPartialReadsAndStripsCrlf) {
-  serve::LineAssembler assembler;
+  net::LineAssembler assembler;
   std::string line;
   EXPECT_EQ(assembler.NextLine(&line), LineStatus::kNone);
   assembler.Append("CLAS");
@@ -303,7 +306,7 @@ TEST(LineAssembler, ReassemblesPartialReadsAndStripsCrlf) {
 }
 
 TEST(LineAssembler, CrlfSplitAcrossChunksStillStripped) {
-  serve::LineAssembler assembler;
+  net::LineAssembler assembler;
   assembler.Append("PING\r");
   assembler.Append("\n");
   std::string line;
@@ -312,7 +315,7 @@ TEST(LineAssembler, CrlfSplitAcrossChunksStillStripped) {
 }
 
 TEST(LineAssembler, OversizedLineIsDroppedOnceThenRecovers) {
-  serve::LineAssembler assembler(16);
+  net::LineAssembler assembler(16);
   // A line that never fits, streamed in pieces: memory must not grow and
   // the event must surface exactly once, at the newline.
   for (int i = 0; i < 1000; ++i) assembler.Append("xxxxxxxxxx");
@@ -326,7 +329,7 @@ TEST(LineAssembler, OversizedLineIsDroppedOnceThenRecovers) {
 }
 
 TEST(LineAssembler, ExactBoundaryLineStillFits) {
-  serve::LineAssembler assembler(5);
+  net::LineAssembler assembler(5);
   assembler.Append("12345\n123456\n1\n");
   std::string line;
   ASSERT_EQ(assembler.NextLine(&line), LineStatus::kLine);

@@ -493,6 +493,9 @@ TEST(StreamProtocol, ErrorsAreExplicit) {
   EXPECT_EQ(server.HandleLine("STREAM_OPEN cbf 0").rfind("ERR BAD_REQUEST", 0),
             0u);
   EXPECT_EQ(
+      server.HandleLine("STREAM_OPEN cbf 64 abc").rfind("ERR BAD_REQUEST", 0),
+      0u);
+  EXPECT_EQ(
       server.HandleLine("STREAM_FEED s404 1,2,3").rfind("ERR NOT_FOUND", 0),
       0u);
   EXPECT_EQ(server.HandleLine("STREAM_CLOSE s404").rfind("ERR NOT_FOUND", 0),
