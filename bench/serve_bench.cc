@@ -223,11 +223,6 @@ int main() {
   PrintMode(per_request);
 
   rpm::serve::ServerOptions server_options;
-  server_options.batching.max_batch_size = 32;
-  // Closed-loop clients resubmit right after their batch completes; a
-  // linger a few hundred us wide collects all of them into the next
-  // micro-batch instead of dispatching fragments.
-  server_options.batching.max_linger = std::chrono::microseconds(150);
   server_options.batching.max_queue_depth = 1024;
   server_options.default_timeout = std::chrono::seconds(120);
 

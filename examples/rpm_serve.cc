@@ -8,8 +8,13 @@
 //
 // Usage:
 //   rpm_serve [--port N | --unix PATH] [--model NAME=PATH ...]
-//             [--shards N] [--batch N] [--linger-us N] [--queue N]
-//             [--threads N] [--timeout-ms N] [--trace-sample N]
+//             [--shards N] [--queue N] [--threads N] [--timeout-ms N]
+//             [--trace-sample N]
+//
+// Numeric values are whole base-10 integers: --port 0..65535; --shards,
+// --queue and --timeout-ms at least 1; --threads and --trace-sample at
+// least 0 (--timeout-ms and --trace-sample at most 2^32 - 1). Anything
+// else prints the usage and exits with status 2.
 //
 // --shards N runs N reactor shards, each owning its own batching queue
 // and stream-session map; stream sessions opened on a connection live
@@ -29,10 +34,14 @@
 
 #include <unistd.h>
 
+#include <charconv>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -52,11 +61,21 @@ void OnSignal(int) { g_stop = 1; }
   std::fprintf(stderr,
                "usage: rpm_serve [--port N | --unix PATH] "
                "[--model NAME=PATH ...]\n"
-               "                 [--shards N] [--batch N] [--linger-us N] "
-               "[--queue N] [--threads N] [--timeout-ms N]\n"
+               "                 [--shards N] [--queue N] [--threads N] "
+               "[--timeout-ms N]\n"
                "                 [--trace-sample N]   (record 1/N spans; "
                "0 disables tracing; default 16)\n");
   std::exit(2);
+}
+
+// The whole of `text` as a base-10 integer in [lo, hi]; anything else
+// (empty, trailing bytes, out of range) prints the usage and exits.
+long long ParseInt(const char* text, long long lo, long long hi) {
+  const char* end = text + std::strlen(text);
+  long long value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value < lo || value > hi) Usage();
+  return value;
 }
 
 struct ServeCliOptions {
@@ -64,7 +83,7 @@ struct ServeCliOptions {
   std::string unix_path;  // non-empty selects a Unix-domain socket
   std::vector<std::pair<std::string, std::string>> models;
   rpm::serve::ServerOptions server;
-  long trace_sample = 16;  // 1/N span sampling; 0 = tracing off
+  long long trace_sample = 16;  // 1/N span sampling; 0 = tracing off
 };
 
 ServeCliOptions ParseArgs(int argc, char** argv) {
@@ -73,10 +92,15 @@ ServeCliOptions ParseArgs(int argc, char** argv) {
     if (i + 1 >= argc) Usage();
     return argv[i + 1];
   };
+  // Upper bounds past the documented ranges keep each value inside the
+  // type that stores it; --timeout-ms shares the u32 of the binary
+  // CLASSIFY timeout, so a deadline never overflows the clock.
+  constexpr long long kNoMax = std::numeric_limits<long long>::max();
+  constexpr long long kU32Max = std::numeric_limits<std::uint32_t>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--port") {
-      cli.port = std::atoi(need(i++));
+      cli.port = static_cast<int>(ParseInt(need(i++), 0, 65535));
     } else if (arg == "--unix") {
       cli.unix_path = need(i++);
     } else if (arg == "--model") {
@@ -87,27 +111,19 @@ ServeCliOptions ParseArgs(int argc, char** argv) {
       }
       cli.models.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
     } else if (arg == "--shards") {
-      const int n = std::atoi(need(i++));
-      if (n <= 0) Usage();
-      cli.server.num_shards = static_cast<std::size_t>(n);
-    } else if (arg == "--batch") {
-      cli.server.batching.max_batch_size =
-          static_cast<std::size_t>(std::atoi(need(i++)));
-    } else if (arg == "--linger-us") {
-      cli.server.batching.max_linger =
-          std::chrono::microseconds(std::atol(need(i++)));
+      cli.server.num_shards =
+          static_cast<std::size_t>(ParseInt(need(i++), 1, kNoMax));
     } else if (arg == "--queue") {
       cli.server.batching.max_queue_depth =
-          static_cast<std::size_t>(std::atoi(need(i++)));
+          static_cast<std::size_t>(ParseInt(need(i++), 1, kNoMax));
     } else if (arg == "--threads") {
       cli.server.batching.num_threads =
-          static_cast<std::size_t>(std::atoi(need(i++)));
+          static_cast<std::size_t>(ParseInt(need(i++), 0, kNoMax));
     } else if (arg == "--timeout-ms") {
       cli.server.default_timeout =
-          std::chrono::milliseconds(std::atol(need(i++)));
+          std::chrono::milliseconds(ParseInt(need(i++), 1, kU32Max));
     } else if (arg == "--trace-sample") {
-      cli.trace_sample = std::atol(need(i++));
-      if (cli.trace_sample < 0) Usage();
+      cli.trace_sample = ParseInt(need(i++), 0, kU32Max);
     } else {
       std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
       Usage();

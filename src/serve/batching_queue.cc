@@ -38,7 +38,6 @@ double MicrosSince(BatchingQueue::Clock::time_point t0,
 BatchingQueue::BatchingQueue(BatchingOptions options, ServerStats* stats)
     : options_([&] {
         BatchingOptions o = options;
-        if (o.max_batch_size == 0) o.max_batch_size = 1;
         if (o.num_threads == 0) o.num_threads = ts::DefaultThreads();
         return o;
       }()),
@@ -46,17 +45,6 @@ BatchingQueue::BatchingQueue(BatchingOptions options, ServerStats* stats)
       dispatcher_([this] { DispatcherLoop(); }) {}
 
 BatchingQueue::~BatchingQueue() { Shutdown(); }
-
-std::future<ClassifyResult> BatchingQueue::Submit(
-    ModelHandle model, ts::Series values, Clock::time_point deadline) {
-  auto promise = std::make_shared<std::promise<ClassifyResult>>();
-  std::future<ClassifyResult> future = promise->get_future();
-  SubmitWithCallback(std::move(model), std::move(values), deadline,
-                     [promise](ClassifyResult result) {
-                       promise->set_value(result);
-                     });
-  return future;
-}
 
 void BatchingQueue::SubmitWithCallback(ModelHandle model, ts::Series values,
                                        Clock::time_point deadline,
@@ -103,25 +91,12 @@ void BatchingQueue::Shutdown() {
   if (dispatcher_.joinable()) dispatcher_.join();
 }
 
-std::size_t BatchingQueue::depth() const {
-  std::unique_lock lock(mutex_);
-  return queue_.size();
-}
-
-std::size_t BatchingQueue::CountFor(const LoadedModel* model) const {
-  std::size_t n = 0;
-  for (const Request& r : queue_) {
-    if (r.model.get() == model) ++n;
-  }
-  return n;
-}
-
 std::vector<BatchingQueue::Request> BatchingQueue::ExtractBatch(
     const LoadedModel* model) {
   std::vector<Request> batch;
-  batch.reserve(std::min(queue_.size(), options_.max_batch_size));
+  batch.reserve(std::min(queue_.size(), kMaxBatchSize));
   for (auto it = queue_.begin();
-       it != queue_.end() && batch.size() < options_.max_batch_size;) {
+       it != queue_.end() && batch.size() < kMaxBatchSize;) {
     if (it->model.get() == model) {
       batch.push_back(std::move(*it));
       it = queue_.erase(it);
@@ -137,24 +112,10 @@ void BatchingQueue::DispatcherLoop() {
   std::unique_lock lock(mutex_);
   for (;;) {
     cv_.wait(lock, [&] { return shutdown_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (shutdown_) return;  // drained
-      continue;
-    }
-    // Micro-batch formation: linger on the oldest request until its batch
-    // fills, its linger window closes, or its own deadline passes
-    // (whichever is first). Draining skips the linger entirely.
-    const LoadedModel* key = queue_.front().model.get();
-    const auto wait_until = std::min(
-        queue_.front().enqueue_time + options_.max_linger,
-        queue_.front().deadline);
-    // Only this thread removes queue entries, so the front request (and
-    // `key`) is stable across the waits.
-    while (!shutdown_ && CountFor(key) < options_.max_batch_size &&
-           Clock::now() < wait_until) {
-      cv_.wait_until(lock, wait_until);
-    }
-    std::vector<Request> batch = ExtractBatch(key);
+    if (queue_.empty()) return;  // shut down and drained
+    // Dispatch when free: no waiting for co-travellers. The batch holds
+    // whatever queued for the front model while the last batch computed.
+    std::vector<Request> batch = ExtractBatch(queue_.front().model.get());
     lock.unlock();
     RunBatch(std::move(batch));
     lock.lock();

@@ -4,11 +4,11 @@
 // per-model micro-batches so the warm ClassificationEngine and the PR-1
 // thread pool amortize their work across co-travelling requests:
 //
-//  * Batch formation: the dispatcher takes the oldest queued request and
-//    lingers up to `max_linger` (or until `max_batch_size` requests for
-//    the same model are queued) before dispatching, so bursts ride in one
-//    batch. Under sustained load the linger never triggers — batches fill
-//    from backpressure while the previous batch computes.
+//  * Batch formation: whenever the dispatcher is free it takes up to
+//    kMaxBatchSize queued requests for the front request's model. It
+//    never waits for co-travellers: a lone request is scored at once,
+//    and batches form only from requests that arrived while the previous
+//    batch was computing.
 //  * Admission control: a request arriving while the queue already holds
 //    `max_queue_depth` entries is shed immediately with kOverloaded —
 //    bounded queues and an explicit error beat unbounded latency.
@@ -16,8 +16,7 @@
 //    dispatch time; expired requests complete with kTimeout without
 //    being classified (their slot is not wasted on a stale answer).
 //  * Drain: Shutdown() rejects new work with kShutdown but completes
-//    every admitted request (lingering is skipped while draining), then
-//    joins the dispatcher.
+//    every admitted request, then joins the dispatcher.
 //
 // The queue never touches model lifetime: each request pins its model via
 // a ModelHandle, so hot reload/unload during a batch is safe.
@@ -30,7 +29,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <string_view>
 #include <thread>
@@ -63,11 +61,10 @@ struct ClassifyResult {
   double latency_us = 0.0;
 };
 
+/// Requests per dispatched micro-batch, upper bound.
+inline constexpr std::size_t kMaxBatchSize = 32;
+
 struct BatchingOptions {
-  /// Requests per dispatched micro-batch, upper bound.
-  std::size_t max_batch_size = 32;
-  /// How long the oldest queued request may wait for co-travellers.
-  std::chrono::microseconds max_linger{2000};
   /// Queued requests beyond which submissions are shed (kOverloaded).
   std::size_t max_queue_depth = 1024;
   /// Pool workers per batch dispatch (0 = hardware concurrency).
@@ -85,17 +82,11 @@ class BatchingQueue {
   BatchingQueue(const BatchingQueue&) = delete;
   BatchingQueue& operator=(const BatchingQueue&) = delete;
 
-  /// Enqueues one request. Rejections (overload, shutdown) resolve the
-  /// future immediately; admitted requests resolve when their batch is
-  /// dispatched or their deadline lapses. Never blocks on classification.
-  std::future<ClassifyResult> Submit(ModelHandle model, ts::Series values,
-                                     Clock::time_point deadline);
-
-  /// Completion delivered by callback instead of future — the form the
-  /// event-driven front end needs (no thread parked on a future). `done`
-  /// is invoked exactly once, outside the queue lock: on the submitting
-  /// thread for rejections, on the dispatcher thread otherwise. It must
-  /// not block (it runs inline in the dispatch path).
+  /// Enqueues one request without blocking on classification. `done` is
+  /// invoked exactly once, outside the queue lock: on the submitting
+  /// thread for rejections (overload, shutdown), on the dispatcher thread
+  /// when the request's batch is dispatched or its deadline lapses. It
+  /// must not block (it runs inline in the dispatch path).
   using Callback = std::function<void(ClassifyResult)>;
   void SubmitWithCallback(ModelHandle model, ts::Series values,
                           Clock::time_point deadline, Callback done);
@@ -103,9 +94,6 @@ class BatchingQueue {
   /// Stops admissions, drains every admitted request, joins the
   /// dispatcher. Idempotent; also run by the destructor.
   void Shutdown();
-
-  /// Queued (not yet dispatched) requests right now.
-  std::size_t depth() const;
 
  private:
   struct Request {
@@ -117,17 +105,15 @@ class BatchingQueue {
   };
 
   void DispatcherLoop();
-  /// Queued requests for `model`, front-of-queue model only (locked).
-  std::size_t CountFor(const LoadedModel* model) const;
-  /// Removes up to max_batch_size requests for `model` (locked).
+  /// Removes up to kMaxBatchSize requests for `model` (locked).
   std::vector<Request> ExtractBatch(const LoadedModel* model);
-  /// Classifies a formed batch and resolves its promises (unlocked).
+  /// Classifies a formed batch and runs its callbacks (unlocked).
   void RunBatch(std::vector<Request> batch);
 
   const BatchingOptions options_;
   ServerStats* const stats_;
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<Request> queue_;
   bool shutdown_ = false;

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
 #include <limits>
@@ -32,19 +33,18 @@ constexpr std::size_t kDirEntryBytes = 40;
 constexpr std::uint64_t kMaxChunks = std::uint64_t{1} << 24;
 constexpr std::uint64_t kMaxSeriesPerChunk = std::uint64_t{1} << 28;
 
-std::uint32_t* Crc32Table() {
-  static std::uint32_t table[256] = {0};
-  if (table[1] == 0) {
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      table[i] = c;
+// Built at compile time, so concurrent first calls read a finished table.
+constexpr std::array<std::uint32_t, 256> kCrc32Table = [] {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
+    table[i] = c;
   }
   return table;
-}
+}();
 
 template <typename T>
 void PutLe(std::vector<unsigned char>& buf, T value) {
@@ -67,11 +67,10 @@ T GetLe(const unsigned char* p) {
 }  // namespace
 
 std::uint32_t Crc32(const void* data, std::size_t bytes, std::uint32_t seed) {
-  const std::uint32_t* table = Crc32Table();
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
   for (std::size_t i = 0; i < bytes; ++i) {
-    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+    c = kCrc32Table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

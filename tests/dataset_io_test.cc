@@ -10,12 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/rpm.h"
@@ -65,6 +67,23 @@ void ExpectSameDataset(const ts::Dataset& a, const ts::Dataset& b) {
     ASSERT_EQ(a[i].values.size(), b[i].values.size()) << "i=" << i;
     EXPECT_EQ(a[i].values, b[i].values) << "i=" << i;  // bit-exact
   }
+}
+
+// First in this binary, and alone in its process under ctest, so these
+// are the process's first Crc32 calls: they must not race on the table.
+TEST(DatasetIo, Crc32ConcurrentFirstCallsAgree) {
+  std::atomic<bool> go{false};
+  std::vector<std::uint32_t> crcs(8, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < crcs.size(); ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      crcs[t] = ts::Crc32("123456789", 9);
+    });
+  }
+  go.store(true);
+  for (auto& thread : threads) thread.join();
+  for (const std::uint32_t crc : crcs) EXPECT_EQ(crc, 0xCBF43926u);
 }
 
 TEST(DatasetIo, VariableLengthRoundTrip) {

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -55,13 +56,45 @@ core::RpmClassifier TrainedCopy() {
 
 serve::ServerOptions FastOptions() {
   serve::ServerOptions options;
-  options.batching.max_batch_size = 8;
-  options.batching.max_linger = microseconds(500);
   options.batching.max_queue_depth = 1024;
   options.batching.num_threads = 2;
   options.default_timeout = milliseconds(10000);
   return options;
 }
+
+// Parks shard 0's dispatcher until Release(), so requests submitted in
+// between stay queued without a timer. It does so from inside a request's
+// completion callback, which deliberately breaks ClassifyWithCallback's
+// "must not block" contract; only a test may do that. The held request
+// itself completes kOk first, so it counts as one admitted, one ok and
+// one batch of one: take counts as differences from a Stats() snapshot
+// taken while the hold is in place.
+class DispatcherHold {
+ public:
+  explicit DispatcherHold(serve::InferenceServer& server) {
+    auto entered = std::make_shared<std::promise<void>>();
+    std::future<void> in_callback = entered->get_future();
+    server.ClassifyWithCallback(
+        "gp", Fixture().split.test[0].values, milliseconds(60000), 0,
+        [entered, release = release_.get_future().share()](
+            serve::ClassifyResult result) {
+          EXPECT_EQ(result.status, serve::StatusCode::kOk);
+          entered->set_value();
+          release.wait();
+        });
+    in_callback.wait();
+  }
+  ~DispatcherHold() { Release(); }
+
+  void Release() {
+    if (!released_) release_.set_value();
+    released_ = true;
+  }
+
+ private:
+  std::promise<void> release_;
+  bool released_ = false;
+};
 
 TEST(ModelRegistry, LoadGetUnloadNames) {
   const std::string path = testing::TempDir() + "registry_model.rpm";
@@ -137,10 +170,10 @@ TEST(ModelRegistryConcurrency, HotReloadUnderConcurrentClassify) {
 }
 
 TEST(BatchingQueue, FormsMicroBatchesFromConcurrentSubmissions) {
-  serve::ServerOptions options = FastOptions();
-  options.batching.max_linger = milliseconds(500);  // give submits time
-  serve::InferenceServer server(options);
+  serve::InferenceServer server(FastOptions());
   server.AddModel("gp", TrainedCopy());
+  DispatcherHold hold(server);
+  const serve::StatsSnapshot held = server.Stats();
 
   const auto& test = Fixture().split.test;
   std::vector<std::future<serve::ClassifyResult>> futures;
@@ -148,15 +181,41 @@ TEST(BatchingQueue, FormsMicroBatchesFromConcurrentSubmissions) {
     futures.push_back(server.ClassifyAsync(
         "gp", test[std::size_t(i) % test.size()].values, milliseconds(5000)));
   }
+  hold.Release();
   for (auto& f : futures) {
     EXPECT_EQ(f.get().status, serve::StatusCode::kOk);
   }
   const serve::StatsSnapshot stats = server.Stats();
-  EXPECT_EQ(stats.admitted, 8u);
-  EXPECT_EQ(stats.ok, 8u);
-  // All eight shared one dispatch: the batch filled before the linger.
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_DOUBLE_EQ(stats.batch_occupancy.Mean(), 8.0);
+  EXPECT_EQ(stats.admitted - held.admitted, 8u);
+  EXPECT_EQ(stats.ok - held.ok, 8u);
+  // All eight queued behind the held dispatcher, so they share one dispatch.
+  EXPECT_EQ(stats.batches - held.batches, 1u);
+  EXPECT_DOUBLE_EQ(stats.batch_occupancy.sum - held.batch_occupancy.sum, 8.0);
+}
+
+TEST(BatchingQueue, BatchesAreCappedAtMaxBatchSize) {
+  serve::InferenceServer server(FastOptions());
+  server.AddModel("gp", TrainedCopy());
+  DispatcherHold hold(server);
+  const serve::StatsSnapshot held = server.Stats();
+
+  constexpr std::size_t kQueued = serve::kMaxBatchSize + 8;
+  const auto& test = Fixture().split.test;
+  std::vector<std::future<serve::ClassifyResult>> futures;
+  for (std::size_t i = 0; i < kQueued; ++i) {
+    futures.push_back(server.ClassifyAsync(
+        "gp", test[i % test.size()].values, milliseconds(5000)));
+  }
+  hold.Release();
+  for (auto& f : futures) {
+    EXPECT_EQ(f.get().status, serve::StatusCode::kOk);
+  }
+  const serve::StatsSnapshot stats = server.Stats();
+  EXPECT_EQ(stats.ok - held.ok, kQueued);
+  // One full batch of kMaxBatchSize, then the eight left over.
+  EXPECT_EQ(stats.batches - held.batches, 2u);
+  EXPECT_DOUBLE_EQ(stats.batch_occupancy.sum - held.batch_occupancy.sum,
+                   double(kQueued));
 }
 
 TEST(BatchingQueue, ExpiredDeadlineGetsTimeoutWithoutClassification) {
@@ -170,21 +229,37 @@ TEST(BatchingQueue, ExpiredDeadlineGetsTimeoutWithoutClassification) {
   EXPECT_EQ(stats.ok, 0u);
 }
 
+TEST(BatchingQueue, LoneRequestWithShortTimeoutIsClassified) {
+  // A free dispatcher scores a lone request at once, so a 1 ms deadline
+  // is met whenever the dispatcher wakes within it. Requiring only half
+  // of the calls leaves room for loaded or sanitized hosts.
+  serve::InferenceServer server;
+  server.AddModel("gp", TrainedCopy());
+  int ok = 0;
+  for (int i = 0; i < 20; ++i) {
+    ok += server.Classify("gp", Fixture().split.test[0].values,
+                          milliseconds(1))
+              .status == serve::StatusCode::kOk;
+  }
+  EXPECT_GE(ok, 10);
+}
+
 TEST(BatchingQueue, AdmissionControlShedsBeyondQueueDepth) {
   serve::ServerOptions options = FastOptions();
-  options.batching.max_batch_size = 32;
-  options.batching.max_linger = milliseconds(1000);
   options.batching.max_queue_depth = 4;
   serve::InferenceServer server(options);
   server.AddModel("gp", TrainedCopy());
+  DispatcherHold hold(server);
+  const serve::StatsSnapshot held = server.Stats();
 
-  // All ten submissions land within the linger window, so the dispatcher
-  // holds them queued: entries 5.. see a full queue and are shed.
+  // The held dispatcher leaves all ten submissions queued: entries 5..
+  // see a full queue and are shed.
   std::vector<std::future<serve::ClassifyResult>> futures;
   for (int i = 0; i < 10; ++i) {
     futures.push_back(server.ClassifyAsync(
         "gp", Fixture().split.test[0].values, milliseconds(5000)));
   }
+  hold.Release();
   int ok = 0;
   int overloaded = 0;
   for (auto& f : futures) {
@@ -196,26 +271,42 @@ TEST(BatchingQueue, AdmissionControlShedsBeyondQueueDepth) {
   EXPECT_EQ(overloaded, 6);
   const serve::StatsSnapshot stats = server.Stats();
   EXPECT_EQ(stats.shed, 6u);
-  EXPECT_EQ(stats.admitted, 4u);
+  EXPECT_EQ(stats.admitted - held.admitted, 4u);
 }
 
 TEST(BatchingQueue, ShutdownDrainsAdmittedAndRejectsNew) {
-  serve::ServerOptions options = FastOptions();
-  options.batching.max_linger = milliseconds(500);
-  serve::InferenceServer server(options);
+  serve::InferenceServer server(FastOptions());
   server.AddModel("gp", TrainedCopy());
+  DispatcherHold hold(server);
 
+  const auto& values = Fixture().split.test[0].values;
   std::vector<std::future<serve::ClassifyResult>> futures;
   for (int i = 0; i < 6; ++i) {
-    futures.push_back(server.ClassifyAsync(
-        "gp", Fixture().split.test[0].values, milliseconds(5000)));
+    futures.push_back(server.ClassifyAsync("gp", values, milliseconds(5000)));
   }
-  server.Shutdown();  // drains without waiting out the 500 ms linger
+  // Shutdown returns only after the drain, so it runs on its own thread.
+  // The hold is released once a probe is rejected with kShutdown, so the
+  // queued requests are drained by Shutdown every time. Probes admitted
+  // before that queue behind the six and are drained with them.
+  std::thread stopper([&] { server.Shutdown(); });
+  for (;;) {
+    std::future<serve::ClassifyResult> probe =
+        server.ClassifyAsync("gp", values, milliseconds(5000));
+    // Only a rejection completes while the dispatcher is held.
+    if (probe.wait_for(milliseconds(0)) == std::future_status::ready) {
+      EXPECT_EQ(probe.get().status, serve::StatusCode::kShutdown);
+      break;
+    }
+    futures.push_back(std::move(probe));
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  hold.Release();
+  stopper.join();
   for (auto& f : futures) {
     EXPECT_EQ(f.get().status, serve::StatusCode::kOk);
   }
-  const serve::ClassifyResult rejected = server.Classify(
-      "gp", Fixture().split.test[0].values, milliseconds(100));
+  const serve::ClassifyResult rejected =
+      server.Classify("gp", values, milliseconds(100));
   EXPECT_EQ(rejected.status, serve::StatusCode::kShutdown);
 }
 
@@ -340,9 +431,7 @@ TEST(LineAssembler, ExactBoundaryLineStillFits) {
 }
 
 TEST(ServeConcurrency, ClientsHammerWhileModelHotReloads) {
-  serve::ServerOptions options = FastOptions();
-  options.batching.max_linger = microseconds(200);
-  serve::InferenceServer server(options);
+  serve::InferenceServer server(FastOptions());
   server.AddModel("gp", TrainedCopy());
   const auto& test = Fixture().split.test;
 
