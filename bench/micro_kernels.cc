@@ -5,11 +5,13 @@
 //
 // `--json` skips the google-benchmark suite and instead times (a) the
 // batched matching engine against the legacy per-call kernel on a
-// 50-pattern x 200-series workload and (b) the LB-cascaded 1NN-DTW
-// against full banded DTW at a 10 % band, writing BENCH_kernels.json.
+// 50-pattern x 200-series workload, (b) the LB-cascaded 1NN-DTW
+// against full banded DTW at a 10 % band and (c) the archive CRC-32
+// against a byte-at-a-time table loop, writing BENCH_kernels.json.
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -25,6 +27,7 @@
 #include "grammar/repair.h"
 #include "grammar/sequitur.h"
 #include "sax/sax.h"
+#include "ts/dataset_io.h"
 #include "ts/rng.h"
 #include "ts/znorm.h"
 
@@ -39,6 +42,27 @@ rpm::ts::Series RandomWalk(std::size_t n, std::uint64_t seed) {
     s[i] = v;
   }
   return s;
+}
+
+// Byte-at-a-time table CRC-32 (reflected 0xEDB88320): the crc32 row's
+// baseline, and the loop ts::Crc32 keeps for inputs under 64 bytes.
+std::uint32_t Crc32TableLoop(const unsigned char* p, std::size_t bytes) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < bytes; ++i) {
+    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
 }
 
 void BM_SaxDiscretize(benchmark::State& state) {
@@ -523,6 +547,54 @@ void RunJsonWorkload() {
   // a pruning bug.
   const double dtw_drift = full_checksum - cascade_checksum;
 
+  // Archive CRC: ts::Crc32 (carry-less-multiply folding on CPUs with
+  // PCLMULQDQ) against the table loop, over one RPMD chunk (4 MiB, the
+  // writer's default chunk_bytes) at an odd offset. Both must give the
+  // same CRC. Each side takes the minimum of 20 back-to-back passes: a
+  // fold pass is well under 1 ms, and interleaving it with ~15 ms table
+  // passes let other processes evict the buffer, timing memory instead.
+  constexpr std::size_t kCrcBytes = std::size_t{4} << 20;
+  constexpr int kCrcReps = 20;
+  std::vector<unsigned char> crc_buf(kCrcBytes + 1);
+  std::uint64_t crc_state = 17;
+  for (auto& b : crc_buf) {
+    crc_state = crc_state * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<unsigned char>(crc_state >> 56);
+  }
+  const unsigned char* crc_data = crc_buf.data() + 1;
+  std::uint32_t kernel_crc = 0;
+  std::uint32_t table_crc = 0;
+  double kernel_crc_ns = std::numeric_limits<double>::infinity();
+  double table_crc_ns = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < kCrcReps; ++rep) {
+    const auto t0 = Clock::now();
+    kernel_crc = rpm::ts::Crc32(crc_data, kCrcBytes);
+    const auto t1 = Clock::now();
+    kernel_crc_ns = std::min(
+        kernel_crc_ns,
+        std::chrono::duration<double, std::nano>(t1 - t0).count());
+  }
+  for (int rep = 0; rep < kCrcReps; ++rep) {
+    const auto t0 = Clock::now();
+    table_crc = Crc32TableLoop(crc_data, kCrcBytes);
+    const auto t1 = Clock::now();
+    table_crc_ns = std::min(
+        table_crc_ns,
+        std::chrono::duration<double, std::nano>(t1 - t0).count());
+  }
+  if (kernel_crc != table_crc) {
+    std::fprintf(stderr,
+                 "FATAL: ts::Crc32 gave %08x, the table loop %08x — every "
+                 "CRC path must agree\n",
+                 kernel_crc, table_crc);
+    std::exit(1);
+  }
+  // bytes per ns * 1e3 = MB/s (1 MB = 1e6 bytes).
+  const double kernel_mb_s =
+      static_cast<double>(kCrcBytes) * 1e3 / kernel_crc_ns;
+  const double table_mb_s =
+      static_cast<double>(kCrcBytes) * 1e3 / table_crc_ns;
+
   std::FILE* f = std::fopen("BENCH_kernels.json", "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write BENCH_kernels.json\n");
@@ -576,10 +648,14 @@ void RunJsonWorkload() {
                "    {\"name\": \"dtw_full\", \"ns_per_op\": %.1f, "
                "\"speedup\": 1.0},\n"
                "    {\"name\": \"dtw_cascade\", \"ns_per_op\": %.1f, "
+               "\"speedup\": %.2f},\n"
+               "    {\"name\": \"crc32\", \"bytes\": %zu, "
+               "\"mb_per_s\": %.1f, \"table_mb_per_s\": %.1f, "
                "\"speedup\": %.2f}\n"
                "  ],\n"
                "  \"soa_buckets\": [\n",
-               full_ns, cascade_ns, dtw_speedup);
+               full_ns, cascade_ns, dtw_speedup, kCrcBytes, kernel_mb_s,
+               table_mb_s, kernel_mb_s / table_mb_s);
   for (std::size_t b = 0; b < bucket_rows.size(); ++b) {
     const BucketRow& row = bucket_rows[b];
     std::fprintf(f,
@@ -618,8 +694,11 @@ void RunJsonWorkload() {
               "drift %.3e (must be 0), legacy gap %.3e\n",
               drift, train_drift, legacy_gap);
   std::printf("dtw full %.1f ns/op, cascade %.1f ns/op, speedup %.2fx "
-              "(checksum drift %.3e) -> BENCH_kernels.json\n",
+              "(checksum drift %.3e)\n",
               full_ns, cascade_ns, dtw_speedup, dtw_drift);
+  std::printf("crc32 %.1f MB/s, table loop %.1f MB/s (%.2fx) over %zu bytes "
+              "-> BENCH_kernels.json\n",
+              kernel_mb_s, table_mb_s, kernel_mb_s / table_mb_s, kCrcBytes);
 }
 
 }  // namespace

@@ -193,8 +193,9 @@ class DatasetReader {
   std::vector<std::uint64_t> lengths_;        ///< empty when fixed-length
   std::vector<std::uint64_t> chunk_of_;       ///< first series per chunk
   std::vector<ChunkRef> chunks_;
-  /// 0 = unverified, 1 = verified OK; set once under relaxed atomics
-  /// (double verification is benign: both computations agree).
+  /// 0 = unverified, 1 = verified OK; stored with release after the
+  /// CRC passes and read with acquire (double verification is benign:
+  /// both computations agree).
   mutable std::unique_ptr<std::atomic<std::uint8_t>[]> chunk_verified_;
 };
 

@@ -2,8 +2,10 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace rpm::ts {
@@ -41,12 +43,36 @@ Dataset ParseUcr(const std::string& text) {
     ++line_no;
     if (line.find_first_not_of(" \t\r\n,") == std::string::npos) continue;
     std::vector<double> fields = ParseFields(line, line_no);
+    // A trailing run of NaN values is padding (the 2018 archive pads
+    // variable-length series that way); the label is never trimmed.
+    while (fields.size() > 1 && std::isnan(fields.back())) fields.pop_back();
     if (fields.size() < 2) {
       throw UcrFormatError("line " + std::to_string(line_no) +
                            ": expected a label plus at least one value");
     }
+    // std::round rounds halves away from zero like llround, but is
+    // defined on any double, so the range check comes before any cast
+    // (llround's result on a huge value is unspecified). The negated
+    // test also rejects NaN.
+    const double label = std::round(fields.front());
+    if (!(label >= std::numeric_limits<std::int32_t>::min() &&
+          label <= std::numeric_limits<std::int32_t>::max())) {
+      std::ostringstream what;
+      what << "line " << line_no << ": label " << fields.front()
+           << " is not a finite int32 after rounding";
+      throw UcrFormatError(what.str());
+    }
+    for (std::size_t f = 1; f < fields.size(); ++f) {
+      if (!std::isfinite(fields[f])) {
+        std::ostringstream what;
+        what << "line " << line_no << ", field " << f + 1
+             << ": non-finite value " << fields[f]
+             << " (only trailing NaN padding is allowed)";
+        throw UcrFormatError(what.str());
+      }
+    }
     LabeledSeries inst;
-    inst.label = static_cast<int>(std::llround(fields.front()));
+    inst.label = static_cast<int>(label);
     inst.values.assign(fields.begin() + 1, fields.end());
     data.Add(std::move(inst));
   }

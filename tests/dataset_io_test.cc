@@ -1,8 +1,10 @@
-// The dataset/format suite (`dataset` ctest label): RPMD writer/reader
-// round-trips in both length modes, byte-level corruption and truncation
-// rejection (every flipped byte must surface as DatasetFormatError, never
-// as silent misreads or crashes — the mmap/parse surface runs under
-// ASan+UBSan via scripts/tsan_check.sh), streaming generation
+// The dataset/format suite (`dataset` ctest label): the CRC-32 kernel
+// against a bit-at-a-time reference, a golden RPMD file written by an
+// earlier build, RPMD writer/reader round-trips in both length modes,
+// byte-level corruption and truncation rejection (every flipped byte
+// must surface as DatasetFormatError, never as silent misreads or
+// crashes — the mmap/parse surface runs under ASan+UBSan via
+// scripts/tsan_check.sh), streaming generation
 // determinism, sampling primitives, and the archive-scale training
 // guarantees of docs/DATASETS.md: mmap-backed training is bit-identical
 // to in-memory training, and sampled candidate discovery is bit-identical
@@ -60,6 +62,52 @@ ts::Dataset VariableLengthDataset() {
   return data;
 }
 
+// Six series of lengths 10-15, labels 0/1, written three per chunk: the
+// byte-flip sweep's file and the golden file's content. Its CRC scopes
+// fall on both sides of Crc32's 64-byte fold threshold: header 36 bytes,
+// tables 48, directory 80, payloads 264 and 336.
+ts::Dataset SmallVariableLengthDataset() {
+  ts::Dataset small;
+  std::uint64_t state = 7;
+  for (std::size_t i = 0; i < 6; ++i) {
+    ts::Series s(10 + i);
+    for (auto& v : s) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      v = static_cast<double>(static_cast<std::int64_t>(state >> 16)) / 1e12;
+    }
+    small.Add(static_cast<int>(i % 2), std::move(s));
+  }
+  return small;
+}
+
+ts::DatasetWriterOptions SmallVariableLengthOptions() {
+  ts::DatasetWriterOptions options;
+  options.chunk_series = 3;
+  return options;
+}
+
+// Bit-at-a-time CRC-32 (reflected polynomial 0xEDB88320, no table): the
+// definition every path of ts::Crc32 must reproduce, sharing no code or
+// table with it.
+std::uint32_t Crc32Bitwise(const unsigned char* p, std::size_t bytes,
+                           std::uint32_t seed = 0) {
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < bytes; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  }
+  return ~c;
+}
+
+std::vector<unsigned char> RandomBytes(std::size_t n, std::uint64_t state) {
+  std::vector<unsigned char> bytes(n);
+  for (auto& b : bytes) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<unsigned char>(state >> 56);
+  }
+  return bytes;
+}
+
 void ExpectSameDataset(const ts::Dataset& a, const ts::Dataset& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -70,20 +118,64 @@ void ExpectSameDataset(const ts::Dataset& a, const ts::Dataset& b) {
 }
 
 // First in this binary, and alone in its process under ctest, so these
-// are the process's first Crc32 calls: they must not race on the table.
+// are the process's first Crc32 calls: they must not race on the table
+// or on the run-time choice of the folding kernel, which the 4 KiB input
+// takes and the 9-byte one does not. Half the threads start with each.
 TEST(DatasetIo, Crc32ConcurrentFirstCallsAgree) {
+  const std::vector<unsigned char> big = RandomBytes(4096, 3);
+  const std::uint32_t big_expected = Crc32Bitwise(big.data(), big.size());
   std::atomic<bool> go{false};
-  std::vector<std::uint32_t> crcs(8, 0);
+  std::vector<std::uint32_t> small_crcs(8, 0);
+  std::vector<std::uint32_t> big_crcs(8, 0);
   std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < crcs.size(); ++t) {
+  for (std::size_t t = 0; t < small_crcs.size(); ++t) {
     threads.emplace_back([&, t] {
       while (!go.load()) std::this_thread::yield();
-      crcs[t] = ts::Crc32("123456789", 9);
+      if (t % 2 == 0) big_crcs[t] = ts::Crc32(big.data(), big.size());
+      small_crcs[t] = ts::Crc32("123456789", 9);
+      if (t % 2 == 1) big_crcs[t] = ts::Crc32(big.data(), big.size());
     });
   }
   go.store(true);
   for (auto& thread : threads) thread.join();
-  for (const std::uint32_t crc : crcs) EXPECT_EQ(crc, 0xCBF43926u);
+  for (const std::uint32_t crc : small_crcs) EXPECT_EQ(crc, 0xCBF43926u);
+  for (const std::uint32_t crc : big_crcs) EXPECT_EQ(crc, big_expected);
+}
+
+TEST(DatasetIo, Crc32MatchesBitwiseReference) {
+  EXPECT_EQ(ts::Crc32("123456789", 9), 0xCBF43926u);
+
+  // Every length 0-300 at every start offset 0-15: both sides of the
+  // 64-byte fold threshold and all 16 tail sizes. Each input sits at the
+  // very end of its own allocation, so a load past it trips ASan.
+  const std::vector<unsigned char> source = RandomBytes(316, 11);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::vector<unsigned char> buf(source.begin(),
+                                           source.begin() + offset + len);
+      const unsigned char* p = buf.data() + offset;
+      ASSERT_EQ(ts::Crc32(p, len), Crc32Bitwise(p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+
+  // Seed chaining: any split of the input gives the one-shot value.
+  const std::vector<unsigned char> chain = RandomBytes(1000, 12);
+  const std::uint32_t whole = Crc32Bitwise(chain.data(), chain.size());
+  ASSERT_EQ(ts::Crc32(chain.data(), chain.size()), whole);
+  for (const std::size_t k : {0, 1, 15, 16, 17, 63, 64, 65, 100, 127, 128,
+                              129, 500, 935, 936, 937, 984, 999, 1000}) {
+    EXPECT_EQ(ts::Crc32(chain.data() + k, chain.size() - k,
+                        ts::Crc32(chain.data(), k)),
+              whole)
+        << "split at " << k;
+  }
+
+  // One archive-sized chunk (4 MiB) at an odd offset.
+  const std::size_t chunk = std::size_t{4} << 20;
+  const std::vector<unsigned char> big = RandomBytes(chunk + 3, 13);
+  EXPECT_EQ(ts::Crc32(big.data() + 3, chunk),
+            Crc32Bitwise(big.data() + 3, chunk));
 }
 
 TEST(DatasetIo, VariableLengthRoundTrip) {
@@ -209,19 +301,8 @@ TEST(DatasetIo, RejectsTruncation) {
 
 TEST(DatasetIo, EveryByteFlipIsDetected) {
   const std::string path = TempPath("bitflip.rpmd");
-  ts::Dataset small;
-  std::uint64_t state = 7;
-  for (std::size_t i = 0; i < 6; ++i) {
-    ts::Series s(10 + i);
-    for (auto& v : s) {
-      state = state * 6364136223846793005ull + 1442695040888963407ull;
-      v = static_cast<double>(static_cast<std::int64_t>(state >> 16)) / 1e12;
-    }
-    small.Add(static_cast<int>(i % 2), std::move(s));
-  }
-  ts::DatasetWriterOptions write_options;
-  write_options.chunk_series = 3;
-  ts::WriteDatasetFile(small, path, write_options);
+  ts::WriteDatasetFile(SmallVariableLengthDataset(), path,
+                       SmallVariableLengthOptions());
   const std::vector<unsigned char> bytes = Slurp(path);
 
   ts::DatasetReaderOptions eager;
@@ -233,6 +314,35 @@ TEST(DatasetIo, EveryByteFlipIsDetected) {
     EXPECT_THROW(ts::DatasetReader(path, eager), ts::DatasetFormatError)
         << "byte " << i << " of " << bytes.size();
   }
+  std::remove(path.c_str());
+}
+
+// tests/data/rpmd_v1_golden.rpmd was written before Crc32 gained its
+// folding kernel and is never regenerated: a kernel that changed any CRC
+// value would fail to open it, and a writer that changed any byte would
+// fail to reproduce it.
+TEST(DatasetIo, GoldenV1FileLoadsAndRewritesIdentically) {
+  const std::string golden =
+      std::string(RPM_TEST_DATA_DIR) + "/rpmd_v1_golden.rpmd";
+  ts::DatasetReaderOptions eager;
+  eager.eager_verify = true;
+  const ts::DatasetReader reader(golden, eager);
+  EXPECT_EQ(reader.num_chunks(), 2u);
+  const ts::Dataset loaded = reader.ReadAll();
+  const ts::Dataset expected = SmallVariableLengthDataset();
+  ASSERT_EQ(loaded.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(loaded[i].label, expected[i].label) << "i=" << i;
+    ASSERT_EQ(loaded[i].values.size(), expected[i].values.size());
+    EXPECT_EQ(std::memcmp(loaded[i].values.data(), expected[i].values.data(),
+                          expected[i].values.size() * sizeof(double)),
+              0)
+        << "i=" << i;
+  }
+
+  const std::string path = TempPath("golden_rewrite.rpmd");
+  ts::WriteDatasetFile(loaded, path, SmallVariableLengthOptions());
+  EXPECT_EQ(Slurp(path), Slurp(golden));
   std::remove(path.c_str());
 }
 

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <set>
@@ -26,6 +27,7 @@
 #include "ml/svm.h"
 #include "net/frame.h"
 #include "serve/protocol.h"
+#include "ts/ucr_io.h"
 
 namespace rpm {
 namespace {
@@ -334,6 +336,70 @@ TEST(FuzzCorpusTest, RegressionSeedsReplayClean) {
     EXPECT_FALSE(report.failed)
         << entry.mode << " seed " << entry.seed << ": " << report.what;
   }
+}
+
+// ---- UCR text sweep ----
+
+// 2,000 seeded mutations of a valid UCR text: tokens swapped for
+// non-finite or out-of-range spellings, emptied fields, truncation and
+// separator noise. ParseUcr must either throw UcrFormatError or load
+// only non-empty series of finite values; nothing else may escape.
+TEST(UcrFuzzTest, MutatedTextIsRejectedOrFinite) {
+  const std::string valid =
+      "1,0.5,1.5,2.5,-3.25\n"
+      "2 1.0 2.0 3.0 4.0\n"
+      "-1,1e-3,2e2,0.25,NaN,NaN\n"
+      "3\t0.1\t0.2\t0.3\r\n";
+  const std::vector<std::string> swaps = {"nan", "-inf", "1e999", "1e12"};
+  const std::string noise = ", \t\r\n";
+  std::size_t rejected = 0;
+  std::size_t loaded = 0;
+  for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
+    SplitMix64 rng(seed);
+    std::string text = valid;
+    const std::uint64_t mutations = rng.Range(1, 4);
+    for (std::uint64_t m = 0; m < mutations && !text.empty(); ++m) {
+      const std::size_t at = rng.Below(text.size());
+      switch (rng.Below(4)) {
+        case 0:
+        case 1: {  // swap (or, one time in five, empty) the token at `at`
+          const auto is_sep = [&](char ch) {
+            return noise.find(ch) != std::string::npos;
+          };
+          std::size_t begin = at;
+          while (begin > 0 && !is_sep(text[begin - 1])) --begin;
+          std::size_t end = at;
+          while (end < text.size() && !is_sep(text[end])) ++end;
+          const std::string token = rng.Chance(1, 5) ? "" : rng.Pick(swaps);
+          text.replace(begin, end - begin, token);
+          break;
+        }
+        case 2:
+          text.resize(at);
+          break;
+        default:
+          text.insert(at, 1, noise[rng.Below(noise.size())]);
+          break;
+      }
+    }
+    try {
+      const ts::Dataset data = ts::ParseUcr(text);
+      ++loaded;
+      for (const auto& inst : data) {
+        EXPECT_FALSE(inst.values.empty()) << "seed " << seed;
+        for (const double v : inst.values) {
+          EXPECT_TRUE(std::isfinite(v)) << "seed " << seed << ": " << text;
+        }
+      }
+    } catch (const ts::UcrFormatError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "seed " << seed << ": " << e.what() << "\n" << text;
+    }
+  }
+  // The sweep reaches both outcomes.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(loaded, 0u);
 }
 
 // ---- Loader hardening (handcrafted count bombs) ----

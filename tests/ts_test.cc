@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <string>
 
 #include "ts/resample.h"
 #include "ts/rng.h"
@@ -177,6 +179,68 @@ TEST(UcrIo, SkipsBlankLinesAndRejectsGarbage) {
   EXPECT_EQ(d.size(), 1u);
   EXPECT_THROW(ParseUcr("1,abc,3\n"), UcrFormatError);
   EXPECT_THROW(ParseUcr("1\n"), UcrFormatError);
+}
+
+// The non-finite contract (docs/DATASETS.md): every loaded value is
+// finite and every label an int32. Returns ParseUcr's error message, or
+// "" when the text loads.
+std::string UcrError(const std::string& text) {
+  try {
+    ParseUcr(text);
+  } catch (const UcrFormatError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(UcrIo, TrailingNanPaddingIsTrimmed) {
+  // UCR-2018 pads variable-length series with NaN fields.
+  const Dataset d = ParseUcr("1,0.5,0.7,NaN,NaN\n2,1.0,2.0,3.0\n");
+  ASSERT_EQ(d.size(), 2u);
+  EXPECT_EQ(d[0].values, (Series{0.5, 0.7}));
+  EXPECT_EQ(d[1].values, (Series{1.0, 2.0, 3.0}));
+  // Any spelling strtod reads as NaN, after any separators.
+  EXPECT_EQ(ParseUcr("3 1.5 nan\t-nan, NAN\r\n")[0].values, (Series{1.5}));
+}
+
+TEST(UcrIo, AllNanValuesLineIsRejected) {
+  const std::string what = UcrError("1,2\n4,NaN,NaN\n");
+  EXPECT_NE(what.find("line 2: expected a label plus at least one value"),
+            std::string::npos)
+      << what;
+}
+
+TEST(UcrIo, InteriorNonFiniteValuesAreRejected) {
+  // Fields are numbered from 1, the label being field 1.
+  std::string what = UcrError("1,nan,2,3\n");
+  EXPECT_NE(what.find("line 1, field 2"), std::string::npos) << what;
+  // Trailing padding does not excuse a NaN before it.
+  what = UcrError("1,2,3\n2,0.5,NaN,0.7,NaN\n");
+  EXPECT_NE(what.find("line 2, field 3"), std::string::npos) << what;
+  // Infinities anywhere, including strtod's overflow of 1e999.
+  EXPECT_NE(UcrError("1,2,inf\n").find("line 1, field 3"), std::string::npos);
+  EXPECT_NE(UcrError("1,-inf,2\n").find("line 1, field 2"), std::string::npos);
+  EXPECT_NE(UcrError("1,2,1e999,3\n").find("line 1, field 3"),
+            std::string::npos);
+  EXPECT_NE(UcrError("1,2,3,1e999\n").find("line 1, field 4"),
+            std::string::npos);
+}
+
+TEST(UcrIo, LabelsMustBeFiniteInt32AfterRounding) {
+  EXPECT_NE(UcrError("nan,1,2\n").find("line 1: label"), std::string::npos);
+  EXPECT_NE(UcrError("1,2\n-inf,1,2\n").find("line 2: label"),
+            std::string::npos);
+  EXPECT_NE(UcrError("1e12,1,2\n").find("line 1: label"), std::string::npos);
+  EXPECT_NE(UcrError("1e999,1\n").find("line 1: label"), std::string::npos);
+  // Just past either end of int32 once rounded (halves away from zero).
+  EXPECT_NE(UcrError("2147483647.5,1\n").find("line 1: label"),
+            std::string::npos);
+  EXPECT_NE(UcrError("-2147483648.5,1\n").find("line 1: label"),
+            std::string::npos);
+  // The extremes themselves load.
+  EXPECT_EQ(ParseUcr("2147483647,1\n")[0].label, 2147483647);
+  EXPECT_EQ(ParseUcr("-2147483648.4,1\n")[0].label,
+            std::numeric_limits<int>::min());
 }
 
 TEST(UcrIo, RoundTripThroughFile) {
