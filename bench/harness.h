@@ -55,6 +55,19 @@ inline const std::vector<std::string>& MethodNames() {
   return names;
 }
 
+/// RPM with the paper's defaults: per-class DIRECT parameter selection,
+/// gamma 20 %, tau at the 30th percentile. One thread, so Table 2 and
+/// Figure 8 compare it with the single-threaded baselines.
+inline core::RpmOptions RpmMethodOptions() {
+  core::RpmOptions opt;
+  opt.search = core::ParameterSearch::kDirect;
+  opt.direct_max_evaluations = 16;
+  opt.param_splits = 2;
+  opt.param_folds = 3;
+  opt.num_threads = 1;
+  return opt;
+}
+
 /// Fresh classifier instance by method name, configured as in Section 5.
 inline std::unique_ptr<baselines::Classifier> MakeMethod(
     const std::string& name) {
@@ -71,14 +84,7 @@ inline std::unique_ptr<baselines::Classifier> MakeMethod(
     opt.max_epochs = 2000;
     return std::make_unique<baselines::LearningShapelets>(opt);
   }
-  // RPM with the paper's defaults: per-class DIRECT parameter selection,
-  // gamma 20 %, tau at the 30th percentile.
-  core::RpmOptions opt;
-  opt.search = core::ParameterSearch::kDirect;
-  opt.direct_max_evaluations = 16;
-  opt.param_splits = 2;
-  opt.param_folds = 3;
-  return std::make_unique<baselines::RpmAdapter>(opt);
+  return std::make_unique<baselines::RpmAdapter>(RpmMethodOptions());
 }
 
 /// One (dataset, method) measurement.

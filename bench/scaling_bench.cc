@@ -10,10 +10,12 @@
 // archives up to --max series (default 1,000,000) are streamed to RPMD
 // files via GenerateToFile, then trained through the mmap-backed
 // DatasetReader with a stratified per-class training cap and sampled
-// candidate discovery. Each size emits a BENCH_scaling.json row with
-// generation/open/train wall times, the per-phase TrainingReport split,
-// and the process peak RSS — the bounded-memory and sub-linear
-// discovery-growth evidence ROADMAP item 1 asks for.
+// candidate discovery, once on one thread and once at the default
+// (ts::DefaultThreads()). Each (size, threads) pair emits a
+// BENCH_scaling.json row with generation/open/train wall times, the
+// per-phase TrainingReport split, and the process peak RSS — the
+// bounded-memory and sub-linear discovery-growth evidence. The run fails
+// if the two thread counts learn different patterns.
 
 #include <sys/resource.h>
 
@@ -27,6 +29,7 @@
 #include "core/rpm.h"
 #include "ts/dataset_io.h"
 #include "ts/generators.h"
+#include "ts/parallel.h"
 
 namespace {
 
@@ -68,10 +71,11 @@ double Seconds(std::chrono::steady_clock::time_point t0) {
 
 // Archive-scale sweep: stream a CBF archive of each size to disk, train
 // off the mmap reader under constant caps, and emit one JSON row per
-// size. With the caps binding, the materialized subset — and with it the
-// candidate-discovery cost — is constant in the archive size, so the
-// mine_seconds column must stay flat while num_series grows 50x; peak
-// RSS tracks the subset plus the touched value pages, not the file.
+// size and thread count. With the caps binding, the materialized subset
+// — and with it the candidate-discovery cost — is constant in the
+// archive size, so the mine_seconds column must stay flat while
+// num_series grows 50x; peak RSS tracks the subset plus the touched
+// value pages, not the file.
 int ArchiveSweep(std::size_t max_series, const std::string& workdir) {
   using namespace rpm;
   constexpr std::size_t kLength = 128;
@@ -83,6 +87,8 @@ int ArchiveSweep(std::size_t max_series, const std::string& workdir) {
     if (n <= max_series) sizes.push_back(n);
   }
   if (sizes.empty()) sizes.push_back(max_series);
+  std::vector<std::size_t> thread_counts = {1};
+  if (ts::DefaultThreads() > 1) thread_counts.push_back(ts::DefaultThreads());
 
   std::FILE* f = std::fopen("BENCH_scaling.json", "w");
   if (f == nullptr) {
@@ -120,38 +126,53 @@ int ArchiveSweep(std::size_t max_series, const std::string& workdir) {
     const ts::DatasetReader reader(path, reader_options);
     const double open_seconds = Seconds(t0);
 
-    core::RpmOptions opt = Fixed(32);
-    opt.discovery_sample_per_class = kDiscoveryCap;
-    opt.num_threads = 4;
     core::TrainFromDiskOptions disk;
     disk.max_train_per_class = kTrainCap;
-    core::RpmClassifier clf(opt);
-    t0 = std::chrono::steady_clock::now();
-    clf.Train(reader, disk);
-    const double train_seconds = Seconds(t0);
-    const auto& r = clf.report();
-    const double rss_mb = PeakRssMb();
+    std::vector<std::vector<double>> first_patterns;
+    for (std::size_t threads : thread_counts) {
+      core::RpmOptions opt = Fixed(32);
+      opt.discovery_sample_per_class = kDiscoveryCap;
+      opt.num_threads = threads;
+      core::RpmClassifier clf(opt);
+      t0 = std::chrono::steady_clock::now();
+      clf.Train(reader, disk);
+      const double train_seconds = Seconds(t0);
+      const auto& r = clf.report();
+      const double rss_mb = PeakRssMb();
+      std::vector<std::vector<double>> patterns;
+      for (const auto& p : clf.patterns()) patterns.push_back(p.values);
+      if (threads == thread_counts.front()) {
+        first_patterns = patterns;
+      } else if (patterns != first_patterns) {
+        std::fprintf(stderr, "n=%zu: %zu threads learned other patterns "
+                     "than 1 thread\n", n, threads);
+        std::fclose(f);
+        return 1;
+      }
 
-    std::fprintf(f,
-                 "%s    {\"num_series\": %zu, \"file_mb\": %.1f, "
-                 "\"gen_seconds\": %.3f, \"open_seconds\": %.6f, "
-                 "\"train_seconds\": %.3f, \"select_sax_seconds\": %.3f, "
-                 "\"mine_seconds\": %.3f, \"select_patterns_seconds\": "
-                 "%.3f, \"fit_seconds\": %.3f, \"candidates\": %zu, "
-                 "\"patterns\": %zu, \"peak_rss_mb\": %.1f}",
-                 first ? "" : ",\n", n,
-                 static_cast<double>(reader.file_bytes()) / (1024.0 * 1024.0),
-                 gen_seconds, open_seconds, train_seconds,
-                 r.parameter_selection_seconds, r.candidate_mining_seconds,
-                 r.pattern_selection_seconds, r.classifier_fit_seconds,
-                 r.candidates_total, r.patterns_selected, rss_mb);
-    first = false;
-    std::printf("  n=%8zu  file=%7.1fMB  gen=%6.2fs open=%.4fs "
-                "train=%6.2fs (mine=%5.2fs)  rss=%7.1fMB\n",
-                n, static_cast<double>(reader.file_bytes()) /
-                       (1024.0 * 1024.0),
-                gen_seconds, open_seconds, train_seconds,
-                r.candidate_mining_seconds, rss_mb);
+      std::fprintf(
+          f,
+          "%s    {\"num_series\": %zu, \"threads\": %zu, "
+          "\"file_mb\": %.1f, \"gen_seconds\": %.3f, "
+          "\"open_seconds\": %.6f, \"train_seconds\": %.3f, "
+          "\"select_sax_seconds\": %.3f, \"mine_seconds\": %.3f, "
+          "\"select_patterns_seconds\": %.3f, \"fit_seconds\": %.3f, "
+          "\"candidates\": %zu, \"patterns\": %zu, \"peak_rss_mb\": %.1f}",
+          first ? "" : ",\n", n, threads,
+          static_cast<double>(reader.file_bytes()) / (1024.0 * 1024.0),
+          gen_seconds, open_seconds, train_seconds,
+          r.parameter_selection_seconds, r.candidate_mining_seconds,
+          r.pattern_selection_seconds, r.classifier_fit_seconds,
+          r.candidates_total, r.patterns_selected, rss_mb);
+      first = false;
+      std::printf("  n=%8zu  threads=%zu  file=%7.1fMB  gen=%6.2fs "
+                  "open=%.4fs train=%6.2fs (mine=%5.2fs)  rss=%7.1fMB\n",
+                  n, threads,
+                  static_cast<double>(reader.file_bytes()) /
+                      (1024.0 * 1024.0),
+                  gen_seconds, open_seconds, train_seconds,
+                  r.candidate_mining_seconds, rss_mb);
+    }
     std::remove(path.c_str());
   }
   std::fprintf(f, "\n  ]\n}\n");

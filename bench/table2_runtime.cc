@@ -5,9 +5,12 @@
 // the shape to reproduce is LS >> RPM ~ FS).
 //
 // Flags:
-//   --json     also write the table plus per-method train/classify sums
-//              and the per-phase train timings (the same live profiled
-//              runs --profile prints) to BENCH_table2.json (used by
+//   --json     also write the table plus per-method train/classify sums,
+//              the per-phase train timings (the same live profiled runs
+//              --profile prints) and RPM's thread sweep (suite train
+//              seconds and combos at 1..DefaultThreads() threads; the run
+//              fails if any count's combos or predictions differ from one
+//              thread's) to BENCH_table2.json (used by
 //              scripts/bench_snapshot.sh)
 //   --profile  skip the table; instead train RPM and FS freshly on every
 //              suite dataset with the core phase profiler enabled and
@@ -25,6 +28,7 @@
 #include "baselines/shapelet_transform.h"
 #include "core/phase_profile.h"
 #include "harness.h"
+#include "ts/parallel.h"
 
 namespace {
 
@@ -134,6 +138,56 @@ void WritePhaseObject(std::FILE* f, const char* key,
                last ? "" : ",");
 }
 
+// RPM's Table 2 configuration trained over the suite at one thread count.
+struct ThreadSweepRow {
+  std::size_t threads = 0;
+  double train_seconds = 0.0;  // summed over the suite
+  std::size_t combos = 0;      // summed over the suite
+  std::vector<std::size_t> combos_by_dataset;
+  std::vector<std::vector<int>> predictions_by_dataset;
+};
+
+ThreadSweepRow TrainSuiteRpm(std::size_t threads) {
+  ThreadSweepRow row;
+  row.threads = threads;
+  for (const auto& split : rpm::bench::Suite()) {
+    rpm::core::RpmOptions opt = rpm::bench::RpmMethodOptions();
+    opt.num_threads = threads;
+    rpm::core::RpmClassifier clf(opt);
+    const auto t0 = std::chrono::steady_clock::now();
+    clf.Train(split.train);
+    row.train_seconds += std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+    row.combos += clf.combos_evaluated();
+    row.combos_by_dataset.push_back(clf.combos_evaluated());
+    row.predictions_by_dataset.push_back(clf.ClassifyAll(split.test));
+  }
+  return row;
+}
+
+// Rows for 1..DefaultThreads() threads; empty when any row's combos or
+// predictions differ from the 1-thread row's.
+std::vector<ThreadSweepRow> RpmThreadSweep() {
+  std::vector<ThreadSweepRow> rows;
+  for (std::size_t threads = 1; threads <= rpm::ts::DefaultThreads();
+       ++threads) {
+    rows.push_back(TrainSuiteRpm(threads));
+    const ThreadSweepRow& row = rows.back();
+    if (row.combos_by_dataset != rows.front().combos_by_dataset ||
+        row.predictions_by_dataset != rows.front().predictions_by_dataset) {
+      std::fprintf(stderr,
+                   "RPM at %zu threads differs from 1 thread (combos %zu vs "
+                   "%zu, or a prediction)\n",
+                   threads, row.combos, rows.front().combos);
+      return {};
+    }
+    std::printf("RPM suite train at %zu thread(s): %.3fs, %zu combos\n",
+                threads, row.train_seconds, row.combos);
+  }
+  return rows;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -190,6 +244,8 @@ int main(int argc, char** argv) {
               speedup_max);
 
   if (json) {
+    const std::vector<ThreadSweepRow> sweep = RpmThreadSweep();
+    if (sweep.empty()) return 1;
     std::FILE* f = std::fopen("BENCH_table2.json", "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot write BENCH_table2.json\n");
@@ -230,7 +286,15 @@ int main(int argc, char** argv) {
     WritePhaseObject(f, "rpm", ProfileMethod("RPM"), false);
     WritePhaseObject(f, "fs", ProfileMethod("FS"), false);
     WritePhaseObject(f, "st", ProfileMethod("ST"), true);
-    std::fprintf(f, "  }\n}\n");
+    std::fprintf(f, "  },\n  \"rpm_thread_sweep\": [\n");
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+      std::fprintf(f,
+                   "    {\"threads\": %zu, \"train_seconds\": %.4f, "
+                   "\"combos\": %zu}%s\n",
+                   sweep[i].threads, sweep[i].train_seconds, sweep[i].combos,
+                   i + 1 < sweep.size() ? "," : "");
+    }
+    std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
     std::printf("-> BENCH_table2.json\n");
   }

@@ -36,7 +36,6 @@
 #include "baselines/shapelet_transform.h"
 #include "baselines/shapelet_tree.h"
 #include "core/rpm.h"
-#include "ts/parallel.h"
 #include "ts/ucr_io.h"
 
 namespace {
@@ -178,12 +177,11 @@ int CmdTrain(int argc, char** argv) {
 
 int CmdClassify(int argc, char** argv) {
   if (argc < 4) Usage();
-  rpm::core::RpmClassifier clf =
+  const rpm::core::RpmClassifier clf =
       rpm::core::RpmClassifier::LoadFromFile(argv[2]);
   const rpm::ts::Dataset test = rpm::ts::LoadUcrFile(argv[3]);
   // Route the whole set through the batched path: pattern contexts are
   // built once and shared, instead of being rebuilt per instance.
-  clf.set_num_threads(rpm::ts::DefaultThreads());
   for (const int label : clf.ClassifyAll(test)) {
     std::printf("%d\n", label);
   }

@@ -103,8 +103,8 @@ class RpmClassifier {
   const RpmOptions& options() const { return options_; }
 
   /// Worker threads used by ClassifyAll (results are bit-identical for
-  /// any value; only wall-clock time changes). Lets loaded models — whose
-  /// persisted format carries no thread count — be re-tuned to the host.
+  /// any value; only wall-clock time changes). Loaded models, whose
+  /// persisted format carries no thread count, start at the default.
   void set_num_threads(std::size_t n) { options_.num_threads = n; }
 
   /// The fitted feature-space classifier, or nullptr for the

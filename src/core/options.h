@@ -10,6 +10,7 @@
 #include "ml/simple_classifiers.h"
 #include "ml/svm.h"
 #include "sax/sax.h"
+#include "ts/parallel.h"
 
 namespace rpm::core {
 
@@ -80,10 +81,13 @@ struct RpmOptions {
   ml::SvmOptions svm;
   std::uint64_t seed = 1234;
 
-  /// Worker threads for per-class candidate mining and dataset
-  /// transformation. Results are bit-identical for any value (work items
-  /// are independent); 1 = fully sequential.
-  std::size_t num_threads = 1;
+  /// Worker threads for parameter search (the (combo x split) pairs of
+  /// each DIRECT round or of the grid lattice), per-class candidate
+  /// mining, dataset transformation and ClassifyAll. Defaults to the CPUs
+  /// this thread may run on (ts::DefaultThreads). Results are
+  /// bit-identical for any value (work items are independent); 1 = fully
+  /// sequential.
+  std::size_t num_threads = ts::DefaultThreads();
 
   /// Archive-scale candidate discovery (docs/DATASETS.md): cap on the
   /// instances per class concatenated in front of Sequitur. Past the

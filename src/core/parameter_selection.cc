@@ -4,7 +4,8 @@
 #include <array>
 #include <cmath>
 #include <memory>
-#include <mutex>
+#include <set>
+#include <span>
 
 #include "core/candidates.h"
 #include "core/phase_profile.h"
@@ -48,9 +49,9 @@ sax::SaxOptions MakeSax(int window, int paa, int alphabet,
 }
 
 // Evaluation shared by both engines, memoized on the integer triple.
-// Evaluate() is thread-safe (first writer of a triple wins), so the grid
-// pre-warm below can shard combos across the pool while the sequential
-// search still reads one coherent memo.
+// Prewarm is the one evaluation path: it runs every (combo x split) pair
+// a batch still needs on the pool, then merges and memoizes the results
+// on the calling thread, so only that thread ever touches the memo.
 class ComboEvaluator {
  public:
   ComboEvaluator(const ts::Dataset& train, const RpmOptions& options)
@@ -74,50 +75,59 @@ class ComboEvaluator {
     }
   }
 
-  const std::map<int, double>& Evaluate(const sax::SaxOptions& sax) {
-    const std::array<int, 3> key = {static_cast<int>(sax.window),
-                                    static_cast<int>(sax.paa_size),
-                                    sax.alphabet};
-    {
-      std::lock_guard<std::mutex> lock(memo_mu_);
-      auto it = cache_.find(key);
-      if (it != cache_.end()) return it->second;
-    }
-    // Compute outside the lock; losing a race just discards a duplicate
-    // (identical) result. Map nodes are stable, so the returned reference
-    // outlives later insertions.
-    std::map<int, double> f = EvaluateUncached(sax);
-    std::lock_guard<std::mutex> lock(memo_mu_);
-    return cache_.emplace(key, std::move(f)).first->second;
-  }
-
-  std::size_t combos_evaluated() const {
-    std::lock_guard<std::mutex> lock(memo_mu_);
-    return cache_.size();
-  }
-
- private:
-  std::map<int, double> EvaluateUncached(const sax::SaxOptions& sax) const {
-    std::map<int, double> f_sum;
-    const std::vector<int> labels = train_.ClassLabels();
-    for (int label : labels) f_sum[label] = 0.0;
-
-    // The splits are independent; evaluate them on the persistent pool
-    // and merge in order (deterministic for any thread count). DIRECT /
-    // grid search evaluates hundreds of combos per run, so reusing pool
-    // workers here is what keeps thread churn out of the hot path.
-    std::vector<std::map<int, double>> split_scores(splits_.size());
-    ts::ParallelFor(splits_.size(), options_.num_threads, [&](std::size_t s) {
-      split_scores[s] = EvaluateSplit(sax, s);
-    });
-    for (const auto& scores : split_scores) {
-      for (const auto& [label, f1] : scores) {
-        if (f_sum.count(label) > 0) f_sum[label] += f1;
+  /// Evaluates every combo in `combos` that is not memoized yet (each
+  /// distinct triple once). Results are identical for any thread count:
+  /// each pair writes its own slot and a combo's splits are merged in
+  /// split order.
+  void Prewarm(std::span<const sax::SaxOptions> combos) {
+    std::vector<sax::SaxOptions> pending;
+    std::set<Key> queued;
+    for (const sax::SaxOptions& sax : combos) {
+      const Key key = KeyOf(sax);
+      if (memo_.count(key) == 0 && queued.insert(key).second) {
+        pending.push_back(sax);
       }
     }
-    const double inv = 1.0 / static_cast<double>(splits_.size());
-    for (auto& [label, f] : f_sum) f *= inv;
-    return f_sum;
+    if (pending.empty()) return;
+    const std::size_t num_splits = splits_.size();
+    std::vector<std::map<int, double>> split_scores(pending.size() *
+                                                    num_splits);
+    ts::ParallelFor(split_scores.size(), options_.num_threads,
+                    [&](std::size_t i) {
+                      split_scores[i] =
+                          EvaluateSplit(pending[i / num_splits],
+                                        i % num_splits);
+                    });
+    const std::vector<int> labels = train_.ClassLabels();
+    const double inv = 1.0 / static_cast<double>(num_splits);
+    for (std::size_t c = 0; c < pending.size(); ++c) {
+      std::map<int, double> f_sum;
+      for (int label : labels) f_sum[label] = 0.0;
+      for (std::size_t s = 0; s < num_splits; ++s) {
+        for (const auto& [label, f1] : split_scores[c * num_splits + s]) {
+          if (f_sum.count(label) > 0) f_sum[label] += f1;
+        }
+      }
+      for (auto& [label, f] : f_sum) f *= inv;
+      memo_.emplace(KeyOf(pending[c]), std::move(f_sum));
+    }
+  }
+
+  /// Per-class F-measure of one combo, evaluated on first use. Map nodes
+  /// are stable, so the reference outlives later insertions.
+  const std::map<int, double>& Evaluate(const sax::SaxOptions& sax) {
+    Prewarm({&sax, 1});
+    return memo_.at(KeyOf(sax));
+  }
+
+  std::size_t combos_evaluated() const { return memo_.size(); }
+
+ private:
+  using Key = std::array<int, 3>;
+
+  static Key KeyOf(const sax::SaxOptions& sax) {
+    return {static_cast<int>(sax.window), static_cast<int>(sax.paa_size),
+            sax.alphabet};
   }
 
   // One split's per-class F1 under `sax` (Alg. 3 lines 7-12). Returns an
@@ -128,9 +138,10 @@ class ComboEvaluator {
     const auto& [sub_train, validation] = splits_[s];
     std::map<int, sax::SaxOptions> sax_by_class;
     for (int label : labels) sax_by_class[label] = sax;
-    // Candidate mining inside a parallel split stays single-threaded:
-    // the split level is the unit of parallelism here (nested regions
-    // would run inline on the pool anyway, so this is also explicit).
+    // Candidate mining inside a (combo x split) pair stays
+    // single-threaded: the pair is the unit of parallelism here (nested
+    // regions would run inline on the pool anyway, so this is also
+    // explicit).
     // The shared discretization cache persists across every combo this
     // evaluator probes — each split's class series discretizes once per
     // (window, paa, alphabet) layer instead of once per probe.
@@ -181,8 +192,7 @@ class ComboEvaluator {
   /// evaluations share it safely.
   std::unique_ptr<TrainingCache> discretization_cache_;
   std::vector<std::pair<ts::Dataset, ts::Dataset>> splits_;
-  mutable std::mutex memo_mu_;
-  std::map<std::array<int, 3>, std::map<int, double>> cache_;
+  std::map<Key, std::map<int, double>> memo_;
 };
 
 }  // namespace
@@ -228,23 +238,17 @@ ParameterSelectionResult SelectSaxParameters(const ts::Dataset& train,
          std::max(1, options.grid_window_step)},
         {range.paa_lo, range.paa_hi, 2},
         {range.alphabet_lo, range.alphabet_hi, 2}};
-    // Shard the lattice across the pool to warm the evaluator's memo;
-    // the sequential exhaustive search below then reads pure cache hits.
-    // Selection stays bit-identical to the sequential run because
-    // Evaluate memoizes one deterministic result per triple and the
-    // minimizer scan order is unchanged.
-    std::vector<std::array<int, 3>> lattice;
+    // Evaluate the whole lattice as one batch; the sequential exhaustive
+    // search below then reads pure memo hits, in its own scan order.
+    std::vector<sax::SaxOptions> lattice;
     for (int w = ranges[0].lo; w <= ranges[0].hi; w += ranges[0].step) {
       for (int p = ranges[1].lo; p <= ranges[1].hi; p += ranges[1].step) {
         for (int a = ranges[2].lo; a <= ranges[2].hi; a += ranges[2].step) {
-          lattice.push_back({w, p, a});
+          lattice.push_back(MakeSax(w, p, a, range));
         }
       }
     }
-    ts::ParallelFor(lattice.size(), options.num_threads, [&](std::size_t i) {
-      evaluator.Evaluate(
-          MakeSax(lattice[i][0], lattice[i][1], lattice[i][2], range));
-    });
+    evaluator.Prewarm(lattice);
     opt::GridSearchMin(
         [&](std::span<const int> p) {
           const sax::SaxOptions sax = MakeSax(p[0], p[1], p[2], range);
@@ -268,16 +272,27 @@ ParameterSelectionResult SelectSaxParameters(const ts::Dataset& train,
     opt::DirectOptions direct_options;
     direct_options.max_evaluations = options.direct_max_evaluations;
     for (int label : labels) {
-      opt::Minimize(
-          [&](std::span<const double> x) {
-            const sax::SaxOptions sax =
-                MakeSax(static_cast<int>(std::lround(x[0])),
-                        static_cast<int>(std::lround(x[1])),
-                        static_cast<int>(std::lround(x[2])), range);
-            consider(sax);
-            const auto& f = evaluator.Evaluate(sax);
-            const auto it = f.find(label);
-            return 1.0 - (it != f.end() ? it->second : 0.0);
+      // Each DIRECT round is evaluated as one batch on the pool; the
+      // points are then considered one by one in round order, exactly as
+      // a point-at-a-time search would visit them.
+      opt::MinimizeBatch(
+          [&](std::span<const std::vector<double>> points) {
+            std::vector<sax::SaxOptions> round;
+            for (const std::vector<double>& x : points) {
+              round.push_back(MakeSax(static_cast<int>(std::lround(x[0])),
+                                      static_cast<int>(std::lround(x[1])),
+                                      static_cast<int>(std::lround(x[2])),
+                                      range));
+            }
+            evaluator.Prewarm(round);
+            std::vector<double> values;
+            for (const sax::SaxOptions& sax : round) {
+              consider(sax);
+              const auto& f = evaluator.Evaluate(sax);
+              const auto it = f.find(label);
+              values.push_back(1.0 - (it != f.end() ? it->second : 0.0));
+            }
+            return values;
           },
           bounds, direct_options);
     }

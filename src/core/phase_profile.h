@@ -17,7 +17,9 @@
 // combo x split it probes, and those nested scopes accrue into their own
 // counters as well. Readers should treat kSelection as the end-to-end
 // stage-0 time and the other counters as "total time spent in that kind
-// of work anywhere in training".
+// of work anywhere in training". With num_threads > 1 a counter sums
+// busy time across the pool's threads, so a phase nested in selection
+// can exceed selection's own wall time.
 
 #ifndef RPM_CORE_PHASE_PROFILE_H_
 #define RPM_CORE_PHASE_PROFILE_H_

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace rpm::opt {
 namespace {
@@ -26,8 +27,8 @@ struct Rect {
 
 }  // namespace
 
-DirectResult Minimize(const Objective& f, const Bounds& bounds,
-                      const DirectOptions& options) {
+DirectResult MinimizeBatch(const BatchObjective& f, const Bounds& bounds,
+                           const DirectOptions& options) {
   const std::size_t d = bounds.dimension();
   if (d == 0 || bounds.upper.size() != d) {
     throw std::invalid_argument("Direct: empty or inconsistent bounds");
@@ -46,9 +47,17 @@ DirectResult Minimize(const Objective& f, const Bounds& bounds,
     }
     return x;
   };
-  auto eval = [&](const std::vector<double>& u) {
-    ++result.evaluations;
-    return f(unscale(u));
+  // Evaluates one round of (unscaled) points, in order.
+  auto eval = [&](const std::vector<std::vector<double>>& points) {
+    std::vector<double> values = f(points);
+    if (values.size() != points.size()) {
+      throw std::invalid_argument("Direct: batch objective returned " +
+                                  std::to_string(values.size()) +
+                                  " values for " +
+                                  std::to_string(points.size()) + " points");
+    }
+    result.evaluations += points.size();
+    return values;
   };
 
   std::vector<Rect> rects;
@@ -56,12 +65,25 @@ DirectResult Minimize(const Objective& f, const Bounds& bounds,
     Rect r;
     r.center.assign(d, 0.5);
     r.level.assign(d, 0);
-    r.value = eval(r.center);
+    r.value = eval({unscale(r.center)})[0];
     r.ComputeSize();
     rects.push_back(std::move(r));
   }
   result.best_point = unscale(rects[0].center);
   result.best_value = rects[0].value;
+
+  struct Probe {
+    std::size_t dim;
+    std::vector<double> lo_c;
+    std::vector<double> hi_c;
+    double lo_val = 0.0;
+    double hi_val = 0.0;
+    double best() const { return std::min(lo_val, hi_val); }
+  };
+  struct Division {
+    std::size_t rect;
+    std::vector<Probe> probes;
+  };
 
   while (result.iterations < options.max_iterations &&
          result.evaluations < options.max_evaluations) {
@@ -130,49 +152,53 @@ DirectResult Minimize(const Objective& f, const Bounds& bounds,
     }
     if (selected.empty()) selected = hull;
 
-    // Divide each selected rectangle along its longest dimensions.
-    bool any_divided = false;
+    // Plan the round: each selected rectangle is trisected along its
+    // longest dimensions, probing the two new centers per dimension while
+    // the budget allows. No probe depends on another's value, so the whole
+    // round is evaluated as one batch.
+    std::vector<Division> divisions;
+    std::vector<std::vector<double>> round;
+    std::size_t planned = result.evaluations;
     for (std::size_t ri : selected) {
-      if (result.evaluations >= options.max_evaluations) break;
-      // Copy: rects re-allocates as we push.
-      Rect base = rects[ri];
+      if (planned >= options.max_evaluations) break;
+      const Rect& base = rects[ri];
       const int min_level = *std::min_element(base.level.begin(),
                                               base.level.end());
-      std::vector<std::size_t> long_dims;
-      for (std::size_t i = 0; i < d; ++i) {
-        if (base.level[i] == min_level) long_dims.push_back(i);
-      }
       const double delta = std::pow(3.0, -(min_level + 1));
-
-      struct Probe {
-        std::size_t dim;
-        double lo_val;
-        double hi_val;
-        std::vector<double> lo_c;
-        std::vector<double> hi_c;
-        double best() const { return std::min(lo_val, hi_val); }
-      };
-      std::vector<Probe> probes;
-      for (std::size_t dim : long_dims) {
-        if (result.evaluations + 2 > options.max_evaluations) break;
+      Division division{ri, {}};
+      for (std::size_t dim = 0; dim < d; ++dim) {
+        if (base.level[dim] != min_level) continue;
+        if (planned + 2 > options.max_evaluations) break;
         Probe p;
         p.dim = dim;
         p.lo_c = base.center;
         p.hi_c = base.center;
         p.lo_c[dim] -= delta;
         p.hi_c[dim] += delta;
-        p.lo_val = eval(p.lo_c);
-        p.hi_val = eval(p.hi_c);
-        probes.push_back(std::move(p));
+        planned += 2;
+        round.push_back(unscale(p.lo_c));
+        round.push_back(unscale(p.hi_c));
+        division.probes.push_back(std::move(p));
       }
-      if (probes.empty()) continue;
-      any_divided = true;
+      if (!division.probes.empty()) divisions.push_back(std::move(division));
+    }
+    if (divisions.empty()) break;
+    const std::vector<double> values = eval(round);
+
+    std::size_t next_value = 0;
+    for (Division& division : divisions) {
+      for (Probe& p : division.probes) {
+        p.lo_val = values[next_value++];
+        p.hi_val = values[next_value++];
+      }
+      // Copy: rects re-allocates as we push.
+      Rect base = rects[division.rect];
       // Divide dims in order of their best sample (Jones' rule).
-      std::sort(probes.begin(), probes.end(),
+      std::sort(division.probes.begin(), division.probes.end(),
                 [](const Probe& a, const Probe& b) {
                   return a.best() < b.best();
                 });
-      for (const Probe& p : probes) {
+      for (const Probe& p : division.probes) {
         base.level[p.dim] += 1;
         Rect lo;
         lo.center = p.lo_c;
@@ -196,11 +222,22 @@ DirectResult Minimize(const Objective& f, const Bounds& bounds,
         rects.push_back(std::move(hi));
       }
       base.ComputeSize();
-      rects[ri] = std::move(base);
+      rects[division.rect] = std::move(base);
     }
-    if (!any_divided) break;
   }
   return result;
+}
+
+DirectResult Minimize(const Objective& f, const Bounds& bounds,
+                      const DirectOptions& options) {
+  return MinimizeBatch(
+      [&](std::span<const std::vector<double>> points) {
+        std::vector<double> values;
+        values.reserve(points.size());
+        for (const std::vector<double>& x : points) values.push_back(f(x));
+        return values;
+      },
+      bounds, options);
 }
 
 }  // namespace rpm::opt

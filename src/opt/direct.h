@@ -25,6 +25,15 @@ struct Bounds {
 /// Objective: minimized; receives a point in the original (unscaled) domain.
 using Objective = std::function<double(std::span<const double>)>;
 
+/// Batch objective: receives every point of one DIRECT round, in the
+/// original domain and in evaluation order, and returns one value per
+/// point in the same order. A round's points depend only on the
+/// rectangles it divides and the evaluation count, never on the values
+/// it yields, so the caller may evaluate them in any order or in
+/// parallel.
+using BatchObjective =
+    std::function<std::vector<double>(std::span<const std::vector<double>>)>;
+
 struct DirectOptions {
   std::size_t max_evaluations = 120;  ///< budget on objective calls
   std::size_t max_iterations = 40;    ///< budget on divide rounds
@@ -40,8 +49,16 @@ struct DirectResult {
   std::size_t iterations = 0;
 };
 
-/// Minimizes `f` over `bounds` with DIRECT. Throws std::invalid_argument
-/// on empty or inconsistent bounds. Deterministic.
+/// Minimizes `f` over `bounds` with DIRECT, handing `f` one round of
+/// points at a time: the initial center, then every probe of each
+/// iteration's divisions. Throws std::invalid_argument on empty or
+/// inconsistent bounds, or when `f` returns the wrong number of values.
+/// Deterministic.
+DirectResult MinimizeBatch(const BatchObjective& f, const Bounds& bounds,
+                           const DirectOptions& options = {});
+
+/// MinimizeBatch with the points of each round evaluated one at a time,
+/// in order.
 DirectResult Minimize(const Objective& f, const Bounds& bounds,
                       const DirectOptions& options = {});
 

@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <thread>
 
 #include "ts/thread_pool.h"
 
@@ -20,18 +19,17 @@ namespace rpm::ts {
 
 /// Invokes fn(i) for every i in [0, n), using the calling thread plus up
 /// to `num_threads - 1` persistent pool workers (<= 1 runs inline).
-/// Exceptions from fn terminate the process (workers don't marshal
-/// them); keep fn noexcept in practice.
+/// The first exception fn throws, on any thread, is rethrown to the
+/// caller once the region has stopped (ThreadPool::ParallelFor).
 inline void ParallelFor(std::size_t n, std::size_t num_threads,
                         const std::function<void(std::size_t)>& fn) {
   ThreadPool::Global().ParallelFor(n, num_threads, fn);
 }
 
-/// Hardware concurrency with a sane floor.
-inline std::size_t DefaultThreads() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
+/// CPUs the calling thread may run on (its affinity mask, so `taskset`
+/// and cgroup cpusets count); std::thread::hardware_concurrency when the
+/// mask cannot be read; never less than 1.
+std::size_t DefaultThreads();
 
 }  // namespace rpm::ts
 

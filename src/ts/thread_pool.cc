@@ -1,6 +1,7 @@
 #include "ts/thread_pool.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace rpm::ts {
 
@@ -10,6 +11,19 @@ namespace {
 // Nested ParallelFor calls from such a thread run inline: the pool admits
 // one job at a time, so waiting on it from inside a job would deadlock.
 thread_local bool tls_inside_job = false;
+
+// Marks this thread as inside a job for the scope's lifetime and restores
+// the previous state on every exit, an exception from fn included.
+class InsideJobScope {
+ public:
+  InsideJobScope() : was_inside_(tls_inside_job) { tls_inside_job = true; }
+  ~InsideJobScope() { tls_inside_job = was_inside_; }
+  InsideJobScope(const InsideJobScope&) = delete;
+  InsideJobScope& operator=(const InsideJobScope&) = delete;
+
+ private:
+  const bool was_inside_;
+};
 
 }  // namespace
 
@@ -41,8 +55,7 @@ void ThreadPool::EnsureWorkers(std::size_t count) {
 }
 
 void ThreadPool::RunChunks() {
-  const bool was_inside = tls_inside_job;
-  tls_inside_job = true;
+  InsideJobScope inside;
   // Job geometry is immutable while the job is open, and this thread
   // observed the open job under mutex_, so unlocked reads are safe.
   const std::function<void(std::size_t)>& fn = *fn_;
@@ -54,9 +67,17 @@ void ThreadPool::RunChunks() {
        c = next_chunk_.fetch_add(1, std::memory_order_relaxed)) {
     const std::size_t lo = c * chunk;
     const std::size_t hi = std::min(n, lo + chunk);
-    for (std::size_t i = lo; i < hi; ++i) fn(i);
+    try {
+      for (std::size_t i = lo; i < hi; ++i) fn(i);
+    } catch (...) {
+      // Keep the first failure for the submitter and hand out no further
+      // chunks; chunks other participants already took still finish.
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (!error_) error_ = std::current_exception();
+      next_chunk_.store(num_chunks, std::memory_order_relaxed);
+      return;
+    }
   }
-  tls_inside_job = was_inside;
 }
 
 void ThreadPool::WorkerLoop() {
@@ -83,10 +104,8 @@ void ThreadPool::ParallelFor(std::size_t n, std::size_t max_threads,
   max_threads = std::min(max_threads, n);
   if (max_threads <= 1 || tls_inside_job) {
     // Sequential — or nested inside an active job, which must run inline.
-    const bool was_inside = tls_inside_job;
-    tls_inside_job = true;
+    InsideJobScope inside;
     for (std::size_t i = 0; i < n; ++i) fn(i);
-    tls_inside_job = was_inside;
     return;
   }
   EnsureWorkers(max_threads - 1);
@@ -121,6 +140,9 @@ void ThreadPool::ParallelFor(std::size_t n, std::size_t max_threads,
   // after `fn` (a reference into this frame) dies.
   open_ = false;
   fn_ = nullptr;
+  std::exception_ptr error = std::exchange(error_, nullptr);
+  lock.unlock();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace rpm::ts

@@ -7,12 +7,12 @@
 // alive across regions and hands out *chunks* of indices so tiny work
 // items do not serialize on the shared counter.
 //
-// Determinism contract: fn(i) is invoked exactly once for every i, work
-// items are independent and write to distinct slots, so results are
-// bit-identical for any thread count — parallelism only changes
-// wall-clock time. Nested ParallelFor calls (from inside a worker or a
-// caller already inside a region) run inline on the calling thread, so
-// nesting can never deadlock the pool.
+// Determinism contract: fn(i) is invoked exactly once for every i (when
+// no call throws), work items are independent and write to distinct
+// slots, so results are bit-identical for any thread count — parallelism
+// only changes wall-clock time. Nested ParallelFor calls (from inside a
+// worker or a caller already inside a region) run inline on the calling
+// thread, so nesting can never deadlock the pool.
 
 #ifndef RPM_TS_THREAD_POOL_H_
 #define RPM_TS_THREAD_POOL_H_
@@ -21,6 +21,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -38,8 +39,10 @@ class ThreadPool {
 
   /// Invokes fn(i) for every i in [0, n), using the calling thread plus up
   /// to `max_threads - 1` pool workers (<= 1 runs inline). Blocks until
-  /// every item completed. Exceptions from fn terminate the process
-  /// (workers don't marshal them); keep fn noexcept in practice.
+  /// every item completed. If fn throws, on any participating thread, no
+  /// further chunks are handed out, the chunks already taken finish, and
+  /// the first exception is rethrown here; some indices then never ran.
+  /// The pool stays usable afterwards.
   void ParallelFor(std::size_t n, std::size_t max_threads,
                    const std::function<void(std::size_t)>& fn);
 
@@ -79,6 +82,7 @@ class ThreadPool {
   std::size_t max_workers_ = 0;  // workers allowed to join this job
   std::size_t joined_ = 0;       // workers that picked the job up
   std::size_t finished_ = 0;     // workers that drained their chunks
+  std::exception_ptr error_;     // first exception thrown by fn
   std::atomic<std::size_t> next_chunk_{0};
 };
 

@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "distance/euclidean.h"
@@ -272,6 +275,78 @@ TEST(ThreadPool, ReusableAcrossManyJobs) {
     });
     ASSERT_EQ(sum.load(), 120);
   }
+}
+
+// Spins until `flag` is set or `deadline` passes, so items of one region
+// overlap across threads without depending on scheduling luck.
+void WaitUntil(const std::atomic<bool>& flag,
+               std::chrono::steady_clock::time_point deadline) {
+  while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
+// A 4-thread region covers every index exactly once and runs at least one
+// of them on a pool worker: the caller's items wait for a worker's.
+void ExpectRegionUsesWorkers() {
+  const std::thread::id caller = std::this_thread::get_id();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  std::atomic<bool> worker_ran{false};
+  std::vector<std::atomic<int>> hits(8);
+  ts::ParallelFor(hits.size(), 4, [&](std::size_t i) {
+    hits[i].fetch_add(1);
+    if (std::this_thread::get_id() != caller) {
+      worker_ran.store(true);
+    } else {
+      WaitUntil(worker_ran, deadline);
+    }
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_TRUE(worker_ran.load());
+}
+
+TEST(ThreadPool, ExceptionReachesCallerAndPoolStaysUsable) {
+  // A throw inside a region reaches the submitting thread instead of
+  // terminating the process, whichever thread it came from, and leaves
+  // the pool and this thread's nesting state ready for the next region
+  // (a thread left marked as inside a job would run it inline).
+  EXPECT_THROW(ts::ParallelFor(64, 4,
+                               [](std::size_t i) {
+                                 if (i == 17) {
+                                   throw std::runtime_error("item 17");
+                                 }
+                               }),
+               std::runtime_error);
+  ExpectRegionUsesWorkers();
+
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const bool throw_on_caller : {false, true}) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    std::atomic<bool> thrown{false};
+    EXPECT_THROW(
+        ts::ParallelFor(64, 4,
+                        [&](std::size_t) {
+                          if ((std::this_thread::get_id() == caller) ==
+                              throw_on_caller) {
+                            thrown.store(true);
+                            throw std::runtime_error("one side throws");
+                          }
+                          WaitUntil(thrown, deadline);
+                        }),
+        std::runtime_error)
+        << (throw_on_caller ? "caller" : "worker") << " threw";
+    ExpectRegionUsesWorkers();
+  }
+
+  // The inline path rethrows directly and restores the state as well.
+  EXPECT_THROW(ts::ParallelFor(8, 1,
+                               [](std::size_t) {
+                                 throw std::runtime_error("inline");
+                               }),
+               std::runtime_error);
+  ExpectRegionUsesWorkers();
 }
 
 }  // namespace

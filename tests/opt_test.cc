@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "opt/direct.h"
 #include "opt/grid.h"
@@ -77,12 +80,52 @@ TEST(Direct, Deterministic) {
   EXPECT_EQ(a.evaluations, b.evaluations);
 }
 
+TEST(Direct, EvaluationSequencePinned) {
+  // Every point handed to the objective, in order, for a fixed run whose
+  // last division straddles the budget. The pins were taken from the
+  // one-point-at-a-time implementation; evaluating a round as a batch
+  // must reproduce them bit for bit.
+  const Bounds bounds{{-2.0, 0.0, 1.0}, {3.0, 4.0, 9.0}};
+  std::vector<double> seen;
+  const auto r = Minimize(
+      [&](std::span<const double> x) {
+        seen.insert(seen.end(), x.begin(), x.end());
+        return std::sin(2.0 * x[0]) * std::cos(x[1]) +
+               0.05 * (x[2] - 6.5) * (x[2] - 6.5) + 0.1 * x[0];
+      },
+      bounds, {60, 100, 1e-4});
+  std::uint64_t digest = 14695981039346656037ull;  // FNV-1a over the bits
+  for (double v : seen) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    digest = (digest ^ bits) * 1099511628211ull;
+  }
+  EXPECT_EQ(r.evaluations, 59u);
+  EXPECT_EQ(seen.size(), 3 * r.evaluations);
+  EXPECT_EQ(r.iterations, 10u);
+  EXPECT_EQ(digest, 0x11317050f87b4a75ull);
+  EXPECT_EQ(r.best_point, (std::vector<double>{
+                              0.74691358024691379, 3.1851851851851851,
+                              6.481481481481481}));
+  EXPECT_EQ(r.best_value, -0.92138363968823589);
+}
+
 TEST(Direct, InvalidBoundsThrow) {
   EXPECT_THROW(Minimize([](std::span<const double>) { return 0.0; },
                         Bounds{{}, {}}, {}),
                std::invalid_argument);
   EXPECT_THROW(Minimize([](std::span<const double>) { return 0.0; },
                         Bounds{{1.0}, {0.0}}, {}),
+               std::invalid_argument);
+}
+
+TEST(Direct, BatchObjectiveMustReturnOneValuePerPoint) {
+  const Bounds bounds{{0.0, 0.0}, {1.0, 1.0}};
+  EXPECT_THROW(MinimizeBatch(
+                   [](std::span<const std::vector<double>> points) {
+                     return std::vector<double>(points.size() + 1, 0.0);
+                   },
+                   bounds, {25, 10, 1e-4}),
                std::invalid_argument);
 }
 

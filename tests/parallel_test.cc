@@ -2,9 +2,12 @@
 // parallel RPM paths: any thread count must yield bit-identical results.
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <numeric>
+#include <sstream>
+#include <string>
 
 #include "core/rpm.h"
 #include "core/transform.h"
@@ -36,6 +39,26 @@ TEST(ParallelFor, ZeroAndTinyInputs) {
 
 TEST(ParallelFor, DefaultThreadsPositive) {
   EXPECT_GE(ts::DefaultThreads(), 1u);
+}
+
+TEST(ParallelFor, DefaultThreadsCountsAffinityMask) {
+  // Narrow this thread's own affinity to one CPU: the default must follow
+  // the mask (std::thread::hardware_concurrency ignores it).
+  cpu_set_t original;
+  CPU_ZERO(&original);
+  ASSERT_EQ(sched_getaffinity(0, sizeof original, &original), 0);
+  int cpu = 0;
+  while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &original)) ++cpu;
+  ASSERT_LT(cpu, CPU_SETSIZE);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  const std::size_t narrowed = ts::DefaultThreads();
+  ASSERT_EQ(sched_setaffinity(0, sizeof original, &original), 0);
+  EXPECT_EQ(narrowed, 1u);
+  EXPECT_EQ(ts::DefaultThreads(),
+            static_cast<std::size_t>(CPU_COUNT(&original)));
 }
 
 TEST(ParallelDeterminism, CandidatesIdenticalAcrossThreadCounts) {
@@ -110,6 +133,56 @@ TEST(ParallelDeterminism, ClassifierIdenticalAcrossThreadCounts) {
     return clf.ClassifyAll(split.test);
   };
   EXPECT_EQ(run(1), run(4));
+}
+
+TEST(ParallelDeterminism, DirectAndGridSelectionIdenticalAcrossThreadCounts) {
+  // Parameter selection evaluates the (combo x split) pairs of a DIRECT
+  // round, or of the whole grid lattice, on the pool. The chosen
+  // parameters, the combo count, the saved model and its predictions
+  // must not depend on how many threads ran them.
+  struct Selection {
+    std::map<int, sax::SaxOptions> sax_by_class;
+    std::size_t combos = 0;
+    std::string model;
+    std::vector<int> predictions;
+  };
+  const ts::DatasetSplit split = ts::MakeCbf(6, 4, 64, 93);
+  for (core::ParameterSearch search :
+       {core::ParameterSearch::kDirect, core::ParameterSearch::kGrid}) {
+    auto run = [&](std::size_t threads) {
+      core::RpmOptions opt;
+      opt.search = search;
+      opt.direct_max_evaluations = 12;
+      opt.grid_window_step = 12;
+      opt.param_splits = 2;
+      opt.param_folds = 2;
+      opt.num_threads = threads;
+      core::RpmClassifier clf(opt);
+      clf.Train(split.train);
+      std::ostringstream model;
+      clf.Save(model);
+      return Selection{clf.sax_by_class(), clf.combos_evaluated(),
+                       model.str(), clf.ClassifyAll(split.test)};
+    };
+    const Selection base = run(1);
+    EXPECT_GT(base.combos, 1u);
+    for (std::size_t threads : {std::size_t{3}, ts::DefaultThreads()}) {
+      const Selection other = run(threads);
+      const std::string where =
+          (search == core::ParameterSearch::kDirect ? "direct, " : "grid, ") +
+          std::to_string(threads) + " threads";
+      EXPECT_EQ(other.combos, base.combos) << where;
+      ASSERT_EQ(other.sax_by_class.size(), base.sax_by_class.size()) << where;
+      for (const auto& [label, sax] : base.sax_by_class) {
+        const sax::SaxOptions& got = other.sax_by_class.at(label);
+        EXPECT_EQ(got.window, sax.window) << where << ", class " << label;
+        EXPECT_EQ(got.paa_size, sax.paa_size) << where << ", class " << label;
+        EXPECT_EQ(got.alphabet, sax.alphabet) << where << ", class " << label;
+      }
+      EXPECT_EQ(other.model, base.model) << where;
+      EXPECT_EQ(other.predictions, base.predictions) << where;
+    }
+  }
 }
 
 TEST(AbpAlarmTypes, FourBalancedClasses) {

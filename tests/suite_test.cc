@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <tuple>
 
 #include "baselines/fast_shapelets.h"
 #include "baselines/rpm_adapter.h"
 #include "core/rpm.h"
 #include "ts/generators.h"
+#include "ts/parallel.h"
 #include "ts/rng.h"
 
 namespace rpm {
@@ -91,20 +93,32 @@ TEST(Golden, SequiturRuleCountPinned) {
 
 TEST(Golden, DirectEvaluationCountPinned) {
   // DIRECT is deterministic: the combos it explores for a fixed dataset
-  // must not drift.
+  // must not drift, and neither may the (window, paa, alphabet) it picks
+  // per class, at one thread or at every core.
   const ts::DatasetSplit split = ts::MakeGunPoint(8, 4, 100, 779);
-  core::RpmOptions opt;
-  opt.search = core::ParameterSearch::kDirect;
-  opt.direct_max_evaluations = 10;
-  opt.param_splits = 2;
-  opt.param_folds = 2;
-  core::RpmClassifier a(opt);
-  core::RpmClassifier b(opt);
-  a.Train(split.train);
-  b.Train(split.train);
-  EXPECT_EQ(a.combos_evaluated(), b.combos_evaluated());
-  EXPECT_EQ(a.sax_by_class().at(1).window, b.sax_by_class().at(1).window);
-  EXPECT_EQ(a.ClassifyAll(split.test), b.ClassifyAll(split.test));
+  std::vector<int> first_predictions;
+  for (std::size_t threads : {std::size_t{1}, ts::DefaultThreads()}) {
+    core::RpmOptions opt;
+    opt.search = core::ParameterSearch::kDirect;
+    opt.direct_max_evaluations = 10;
+    opt.param_splits = 2;
+    opt.param_folds = 2;
+    opt.num_threads = threads;
+    core::RpmClassifier clf(opt);
+    clf.Train(split.train);
+    EXPECT_EQ(clf.combos_evaluated(), 9u) << threads << " threads";
+    ASSERT_EQ(clf.sax_by_class().size(), 2u);
+    for (const auto& [label, window, paa, alphabet] :
+         {std::tuple{1, 36, 8, 6}, std::tuple{2, 36, 8, 6}}) {
+      const sax::SaxOptions& sax = clf.sax_by_class().at(label);
+      EXPECT_EQ(sax.window, static_cast<std::size_t>(window)) << label;
+      EXPECT_EQ(sax.paa_size, static_cast<std::size_t>(paa)) << label;
+      EXPECT_EQ(sax.alphabet, alphabet) << label;
+    }
+    const std::vector<int> predictions = clf.ClassifyAll(split.test);
+    if (first_predictions.empty()) first_predictions = predictions;
+    EXPECT_EQ(predictions, first_predictions) << threads << " threads";
+  }
 }
 
 // The Table 1 cells whose methods run the best-match scan engine: RPM
