@@ -13,6 +13,8 @@
 # A third class of check keeps the fuzz harness honest rather than the
 # docs: every verb in the wire table must have a production in the fuzz
 # grammar (section 4), so protocol growth can't silently escape fuzzing.
+# Section 7 checks that every RpmOptions::<name> the docs cite is a
+# member of the struct.
 #
 # Run from the repo root (ctest sets WORKING_DIRECTORY accordingly):
 #   scripts/docs_lint.sh
@@ -138,8 +140,34 @@ for sym in $ds_symbols $ds_classes; do
   fi
 done
 
+# --- 7. RpmOptions field names ----------------------------------------
+# Every RpmOptions::<name> the prose docs cite must be a member declared
+# in the struct in src/core/options.h, so a deleted or renamed option
+# cannot linger in the docs. Members are the declaration lines of the
+# struct body (comment lines skipped): a type, the name, then `=` or `;`.
+opt_header=src/core/options.h
+opt_members=$(awk '/^struct RpmOptions \{/{inside=1; next}
+                   inside && /^\};/{inside=0} inside' "$opt_header" |
+              grep -vE '^[[:space:]]*//' |
+              grep -oE '^[[:space:]]+[A-Za-z_][A-Za-z0-9_:<>*&]*[[:space:]]+[a-z_][a-z0-9_]*[[:space:]]*[=;]' |
+              grep -oE '[a-z_][a-z0-9_]*[[:space:]]*[=;]$' |
+              grep -oE '^[a-z_][a-z0-9_]*' | sort -u)
+if [ -z "$opt_members" ] || ! echo "$opt_members" | grep -qx 'num_threads'; then
+  echo "docs_lint: found no RpmOptions members in ${opt_header} (pattern drift?)"
+  fail=1
+fi
+opt_refs=$(grep -noE 'RpmOptions::[A-Za-z_][A-Za-z0-9_]*' \
+             README.md DESIGN.md EXPERIMENTS.md docs/*.md)
+for ref in $opt_refs; do
+  name=${ref##*RpmOptions::}
+  if ! echo "$opt_members" | grep -qx "$name"; then
+    echo "docs_lint: ${ref%%:RpmOptions::*}: RpmOptions::${name} is not a member declared in ${opt_header}"
+    fail=1
+  fi
+done
+
 if [ "$fail" -ne 0 ]; then
   echo "docs_lint: FAILED"
   exit 1
 fi
-echo "docs_lint: OK ($(echo "$verbs" | wc -w | tr -d ' ') verbs, $(echo "$verb_bytes" | wc -w | tr -d ' ') verb bytes, $(echo "$metrics" | wc -w | tr -d ' ') metrics, $(echo "$spans" | wc -w | tr -d ' ') spans)"
+echo "docs_lint: OK ($(echo "$verbs" | wc -w | tr -d ' ') verbs, $(echo "$verb_bytes" | wc -w | tr -d ' ') verb bytes, $(echo "$metrics" | wc -w | tr -d ' ') metrics, $(echo "$spans" | wc -w | tr -d ' ') spans, $(echo "$opt_refs" | wc -w | tr -d ' ') option references)"

@@ -13,10 +13,9 @@
 # `net` label), and the fixed-seed fuzz schedules driving all of the
 # above at once (the `fuzz` label), and the dataset/format suites
 # (`dataset` label: concurrent mmap readers racing the lazy per-chunk
-# CRC flags, and the sharded TrainingCache behind archive-scale
-# training). Any data race in the pool, the parallel transform paths,
-# the training cache shards, the serve path, the stream session manager,
-# the metric/trace cells, or the shard reactors fails the script.
+# CRC flags). Any data race in the pool, the parallel transform paths,
+# the training cache, the serve path, the stream session manager, the
+# metric/trace cells, or the shard reactors fails the script.
 #
 # Usage: scripts/tsan_check.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -38,8 +37,8 @@ ctest --test-dir "${build_dir}" --output-on-failure \
   -R 'ThreadPool|ParallelFor|ParallelDeterminism|BatchedBestMatch|BatchMatcher|SeriesContext|ModelRegistry|BatchingQueue|InferenceServer|ServeConcurrency|LineAssembler'
 
 # Training-path suites (cluster_linkage, dtw_cascade, training_cache):
-# includes the concurrent TrainingCache lookups and the pool-shared
-# iterative-split tests.
+# includes 8 threads racing TrainingCache lookups through LRU eviction
+# and the pool-shared iterative-split tests.
 ctest --test-dir "${build_dir}" --output-on-failure -L training
 
 # Streaming suites: 8 sessions fed from 8 threads while models hot-reload
@@ -64,8 +63,7 @@ ctest --test-dir "${build_dir}" --output-on-failure -L net
 ctest --test-dir "${build_dir}" --output-on-failure -L fuzz
 
 # Dataset/format suites: pool workers hammering one mmap reader's
-# values() — racing the lazy per-chunk CRC verification flags — and the
-# sharded TrainingCache under concurrent split evaluations.
+# values(), racing the lazy per-chunk CRC verification flags.
 ctest --test-dir "${build_dir}" --output-on-failure -L dataset
 
 echo "TSan check passed."

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <set>
 
 #include "cluster/hierarchical.h"
@@ -76,7 +75,7 @@ ConcatenatedClass ConcatenateForDiscovery(const ts::Dataset& train, int label,
 
 std::vector<PatternCandidate> FindClassCandidates(
     const ts::Dataset& train, int label, const sax::SaxOptions& sax_options,
-    const RpmOptions& options) {
+    const RpmOptions& options, TrainingCache* cache) {
   std::vector<PatternCandidate> candidates;
   const ConcatenatedClass cls = ConcatenateForDiscovery(train, label, options);
   if (cls.values.size() < sax_options.window || cls.num_instances == 0) {
@@ -85,21 +84,13 @@ std::vector<PatternCandidate> FindClassCandidates(
 
   sax::SaxOptions sax = sax_options;
   sax.numerosity_reduction = options.numerosity_reduction;
-  // Parameter selection injects a TrainingCache so the discretization of
-  // this class series is shared across every SAX combo the search probes;
-  // the cached result is bit-identical to the direct call.
-  std::shared_ptr<const std::vector<sax::SaxRecord>> cached;
-  std::vector<sax::SaxRecord> local;
+  std::vector<sax::SaxRecord> records;
   {
     ScopedPhaseTimer timer(PhaseProfile::kDiscretization);
-    if (options.training_cache != nullptr) {
-      cached = options.training_cache->Discretize(cls.values, sax,
-                                                  options.num_threads);
-    } else {
-      local = sax::DiscretizeSlidingWindow(cls.values, sax);
-    }
+    records = cache != nullptr
+                  ? cache->Discretize(cls.values, sax)
+                  : sax::DiscretizeSlidingWindow(cls.values, sax);
   }
-  const std::vector<sax::SaxRecord>& records = cached ? *cached : local;
   std::vector<grammar::MotifCandidate> motifs;
   {
     ScopedPhaseTimer timer(PhaseProfile::kGrammar);
@@ -196,7 +187,7 @@ std::vector<PatternCandidate> FindClassCandidates(
 std::vector<PatternCandidate> FindAllCandidates(
     const ts::Dataset& train,
     const std::map<int, sax::SaxOptions>& sax_by_class,
-    const RpmOptions& options) {
+    const RpmOptions& options, TrainingCache* cache) {
   const std::vector<int> labels = train.ClassLabels();
   // Per-class slots keep the output order independent of thread count.
   std::vector<std::vector<PatternCandidate>> per_class(labels.size());
@@ -204,7 +195,7 @@ std::vector<PatternCandidate> FindAllCandidates(
     const auto it = sax_by_class.find(labels[i]);
     const sax::SaxOptions& sax =
         it != sax_by_class.end() ? it->second : options.fixed_sax;
-    per_class[i] = FindClassCandidates(train, labels[i], sax, options);
+    per_class[i] = FindClassCandidates(train, labels[i], sax, options, cache);
   });
   std::vector<PatternCandidate> all;
   for (auto& cls : per_class) {

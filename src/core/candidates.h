@@ -19,6 +19,8 @@
 
 namespace rpm::core {
 
+class TrainingCache;
+
 /// The concatenation of one class's training instances plus the
 /// bookkeeping needed to avoid junction artifacts.
 struct ConcatenatedClass {
@@ -44,16 +46,19 @@ ConcatenatedClass ConcatenateClassSubset(const ts::Dataset& train, int label,
 /// Runs Algorithm 1 for one class with the given SAX parameters.
 /// Returns the candidate pool (possibly empty when nothing repeats often
 /// enough — Algorithm 3 uses emptiness to prune parameter combinations).
+/// Parameter selection passes its `cache` so the class series'
+/// discretization is shared across the combos it probes; the result is
+/// the same with or without one.
 std::vector<PatternCandidate> FindClassCandidates(
     const ts::Dataset& train, int label, const sax::SaxOptions& sax_options,
-    const RpmOptions& options);
+    const RpmOptions& options, TrainingCache* cache = nullptr);
 
 /// Runs Algorithm 1 for every class with per-class SAX parameters.
 /// `sax_by_class` must contain an entry per class label in `train`.
 std::vector<PatternCandidate> FindAllCandidates(
     const ts::Dataset& train,
     const std::map<int, sax::SaxOptions>& sax_by_class,
-    const RpmOptions& options);
+    const RpmOptions& options, TrainingCache* cache = nullptr);
 
 }  // namespace rpm::core
 

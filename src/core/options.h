@@ -1,4 +1,6 @@
-// Configuration of the RPM classifier (Sections 3-4 knobs).
+// Configuration of the RPM classifier (Sections 3-4 knobs). Parameter
+// selection's discretization cache (core/training_cache.h) belongs to
+// the search itself and has no setting here.
 
 #ifndef RPM_CORE_OPTIONS_H_
 #define RPM_CORE_OPTIONS_H_
@@ -13,8 +15,6 @@
 #include "ts/parallel.h"
 
 namespace rpm::core {
-
-class TrainingCache;
 
 /// Cluster prototype choice (Algorithm 1, line 15: "an alternative is to
 /// use the medoid instead of centroid").
@@ -96,23 +96,6 @@ struct RpmOptions {
   /// to the sampled count. 0 — and any cap at or above the class size —
   /// leaves training bit-identical to the unsampled pipeline.
   std::size_t discovery_sample_per_class = 0;
-
-  /// Byte budget for the parameter-search discretization cache
-  /// (TrainingCache): DIRECT / grid probes share z-normalized window and
-  /// PAA matrices across SAX combos instead of rediscretizing. 0 disables
-  /// the cache. Cached and uncached runs are bit-identical.
-  std::size_t training_cache_bytes = std::size_t{256} << 20;
-
-  /// Lock shards of the TrainingCache (each shard owns its slice of the
-  /// byte budget behind its own mutex, so concurrent split evaluations
-  /// never convoy on one lock). 0 picks a default sized to num_threads;
-  /// any value yields bit-identical results.
-  std::size_t training_cache_shards = 0;
-
-  /// Non-owning cache injected by parameter selection into the inner
-  /// candidate-mining calls; leave null elsewhere (candidate mining falls
-  /// back to plain sax::DiscretizeSlidingWindow).
-  TrainingCache* training_cache = nullptr;
 };
 
 }  // namespace rpm::core

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <memory>
 #include <set>
 #include <span>
 
@@ -16,7 +15,6 @@
 #include "ml/metrics.h"
 #include "ml/svm.h"
 #include "opt/direct.h"
-#include "opt/grid.h"
 #include "ts/parallel.h"
 #include "ts/rng.h"
 
@@ -55,17 +53,7 @@ sax::SaxOptions MakeSax(int window, int paa, int alphabet,
 class ComboEvaluator {
  public:
   ComboEvaluator(const ts::Dataset& train, const RpmOptions& options)
-      : train_(train),
-        options_(options),
-        discretization_cache_(
-            options.training_cache_bytes > 0
-                ? std::make_unique<TrainingCache>(
-                      options.training_cache_bytes,
-                      options.training_cache_shards != 0
-                          ? options.training_cache_shards
-                          : std::max(TrainingCache::kDefaultShards,
-                                     options.num_threads))
-                : nullptr) {
+      : train_(train), options_(options) {
     // Fixed splits reused across combos keep comparisons apples-to-apples.
     ts::Rng rng(options.seed);
     for (std::size_t s = 0; s < std::max<std::size_t>(1, options.param_splits);
@@ -142,14 +130,10 @@ class ComboEvaluator {
     // single-threaded: the pair is the unit of parallelism here (nested
     // regions would run inline on the pool anyway, so this is also
     // explicit).
-    // The shared discretization cache persists across every combo this
-    // evaluator probes — each split's class series discretizes once per
-    // (window, paa, alphabet) layer instead of once per probe.
     RpmOptions inner = options_;
     inner.num_threads = 1;
-    inner.training_cache = discretization_cache_.get();
     const std::vector<PatternCandidate> candidates =
-        FindAllCandidates(sub_train, sax_by_class, inner);
+        FindAllCandidates(sub_train, sax_by_class, inner, &cache_);
     if (candidates.empty()) return {};  // Pruned: contributes 0.
     const std::vector<RepresentativePattern> patterns =
         FindDistinctPatterns(sub_train, candidates, inner);
@@ -187,10 +171,11 @@ class ComboEvaluator {
 
   const ts::Dataset& train_;
   const RpmOptions& options_;
-  /// Discretization artifacts shared across combos (null when disabled).
-  /// TrainingCache is internally synchronized, so the concurrent split
-  /// evaluations share it safely.
-  std::unique_ptr<TrainingCache> discretization_cache_;
+  /// Window and PAA matrices shared by every combo this evaluator probes,
+  /// so each split's class series is windowed once per window length and
+  /// reduced once per (window, paa). Internally synchronized: the
+  /// concurrent split evaluations share it.
+  mutable TrainingCache cache_;
   std::vector<std::pair<ts::Dataset, ts::Dataset>> splits_;
   std::map<Key, std::map<int, double>> memo_;
 };
@@ -233,34 +218,20 @@ ParameterSelectionResult SelectSaxParameters(const ts::Dataset& train,
   };
 
   if (options.search == ParameterSearch::kGrid) {
-    std::vector<opt::IntRange> ranges = {
-        {range.window_lo, range.window_hi,
-         std::max(1, options.grid_window_step)},
-        {range.paa_lo, range.paa_hi, 2},
-        {range.alphabet_lo, range.alphabet_hi, 2}};
-    // Evaluate the whole lattice as one batch; the sequential exhaustive
-    // search below then reads pure memo hits, in its own scan order.
+    // The whole lattice is evaluated as one batch, then considered window
+    // fastest, then PAA, then alphabet. A tie keeps the first point, so
+    // this order is part of the result.
+    const int window_step = std::max(1, options.grid_window_step);
     std::vector<sax::SaxOptions> lattice;
-    for (int w = ranges[0].lo; w <= ranges[0].hi; w += ranges[0].step) {
-      for (int p = ranges[1].lo; p <= ranges[1].hi; p += ranges[1].step) {
-        for (int a = ranges[2].lo; a <= ranges[2].hi; a += ranges[2].step) {
+    for (int a = range.alphabet_lo; a <= range.alphabet_hi; a += 2) {
+      for (int p = range.paa_lo; p <= range.paa_hi; p += 2) {
+        for (int w = range.window_lo; w <= range.window_hi; w += window_step) {
           lattice.push_back(MakeSax(w, p, a, range));
         }
       }
     }
     evaluator.Prewarm(lattice);
-    opt::GridSearchMin(
-        [&](std::span<const int> p) {
-          const sax::SaxOptions sax = MakeSax(p[0], p[1], p[2], range);
-          consider(sax);
-          // Grid minimizes a scalar; use the mean class error so the
-          // engine has something coherent to report.
-          const auto& f = evaluator.Evaluate(sax);
-          double mean = 0.0;
-          for (const auto& [label, v] : f) mean += v;
-          return 1.0 - mean / static_cast<double>(f.size());
-        },
-        ranges);
+    for (const sax::SaxOptions& sax : lattice) consider(sax);
   } else {  // kDirect: one 3-D search per class, shared cache.
     opt::Bounds bounds;
     bounds.lower = {static_cast<double>(range.window_lo),

@@ -1,8 +1,5 @@
 #include "core/training_cache.h"
 
-#include <algorithm>
-#include <cstring>
-
 namespace rpm::core {
 namespace {
 
@@ -29,150 +26,80 @@ std::uint64_t Fingerprint(ts::SeriesView series) {
   return h;
 }
 
-std::size_t RecordsBytes(const std::vector<sax::SaxRecord>& records) {
-  std::size_t bytes = records.capacity() * sizeof(sax::SaxRecord);
-  for (const auto& r : records) bytes += r.word.capacity();
-  return bytes;
-}
-
 }  // namespace
 
 std::size_t TrainingCache::KeyHash::operator()(const Key& k) const {
   std::uint64_t h = k.series;
   h ^= (std::uint64_t{k.window} << 32) | k.paa;
   h *= 0x9e3779b97f4a7c15ull;
-  h ^= (std::uint64_t{k.alphabet} << 32) | k.flags;
+  h ^= (k.paa_rows ? 2u : 0u) | (k.znormalize ? 1u : 0u);
   h *= 0x9e3779b97f4a7c15ull;
   return static_cast<std::size_t>(h ^ (h >> 32));
 }
 
-TrainingCache::TrainingCache(std::size_t max_bytes, std::size_t shards) {
-  if (shards == 0) shards = kDefaultShards;
-  shard_max_bytes_ = std::max<std::size_t>(1, max_bytes / shards);
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-TrainingCache::Shard& TrainingCache::ShardFor(const Key& key) {
-  // KeyHash mixes all fields; fold the upper bits so the shard pick and
-  // the map's bucket pick inside the shard use different bit ranges.
-  const std::size_t h = KeyHash{}(key);
-  return *shards_[(h >> 8) % shards_.size()];
-}
+TrainingCache::TrainingCache(std::size_t max_bytes) : max_bytes_(max_bytes) {}
 
 std::shared_ptr<const void> TrainingCache::Find(const Key& key) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
-    ++shard.misses;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(key);
+  if (it == entries_.end()) {
+    ++misses_;
     return nullptr;
   }
-  ++shard.hits;
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru);
+  ++hits_;
+  lru_.splice(lru_.begin(), lru_, it->second.lru);
   return it->second.value;
 }
 
 void TrainingCache::Insert(const Key& key, std::shared_ptr<const void> value,
                            std::size_t bytes) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.entries.count(key) > 0) return;  // Lost a compute race.
-  shard.lru.push_front(key);
-  shard.entries.emplace(key, Entry{std::move(value), bytes,
-                                   shard.lru.begin()});
-  shard.bytes += bytes;
-  while (shard.bytes > shard_max_bytes_ && shard.entries.size() > 1) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (entries_.count(key) > 0) return;  // Lost a compute race.
+  lru_.push_front(key);
+  entries_.emplace(key, Entry{std::move(value), bytes, lru_.begin()});
+  bytes_ += bytes;
+  while (bytes_ > max_bytes_ && entries_.size() > 1) {
     // Never evict what was just inserted: the caller still needs it, and
     // an over-budget singleton would otherwise thrash forever.
-    const Key victim = shard.lru.back();
+    const Key victim = lru_.back();
     if (victim == key) break;
-    auto vit = shard.entries.find(victim);
-    shard.bytes -= vit->second.bytes;
-    shard.entries.erase(vit);
-    shard.lru.pop_back();
-    ++shard.evictions;
+    auto vit = entries_.find(victim);
+    bytes_ -= vit->second.bytes;
+    entries_.erase(vit);
+    lru_.pop_back();
+    ++evictions_;
   }
 }
 
-std::shared_ptr<const std::vector<sax::SaxRecord>> TrainingCache::Discretize(
-    ts::SeriesView series, const sax::SaxOptions& options,
-    std::size_t num_threads) {
+std::vector<sax::SaxRecord> TrainingCache::Discretize(
+    ts::SeriesView series, const sax::SaxOptions& options) {
   const std::uint64_t fp = Fingerprint(series);
-  const std::uint32_t flags =
-      (options.znormalize ? 1u : 0u) |
-      (options.numerosity_reduction ? 2u : 0u);
   const auto window = static_cast<std::uint32_t>(options.window);
-  const auto paa = static_cast<std::uint32_t>(options.paa_size);
-  const auto alphabet = static_cast<std::uint32_t>(options.alphabet);
-
-  const Key records_key{fp, window, paa, alphabet, flags};
-  if (auto hit = Find(records_key)) {
-    return std::static_pointer_cast<const std::vector<sax::SaxRecord>>(hit);
-  }
-
-  // Records miss: fetch or build the PAA rows (numerosity / alphabet do
-  // not influence the lower stages, so their key fields stay 0).
-  const Key paa_key{fp, window, paa, 0, flags & 1u};
+  const Key paa_key{fp, window, static_cast<std::uint32_t>(options.paa_size),
+                    true, options.znormalize};
   auto paa_rows =
       std::static_pointer_cast<const sax::PaaMatrix>(Find(paa_key));
   if (paa_rows == nullptr) {
-    const Key windows_key{fp, window, 0, 0, flags & 1u};
+    const Key windows_key{fp, window, 0, false, options.znormalize};
     auto windows =
         std::static_pointer_cast<const sax::WindowMatrix>(Find(windows_key));
     if (windows == nullptr) {
       windows = std::make_shared<const sax::WindowMatrix>(
-          sax::SlidingWindows(series, options.window, options.znormalize,
-                              num_threads));
+          sax::SlidingWindows(series, options.window, options.znormalize));
       Insert(windows_key, windows,
              windows->data.capacity() * sizeof(double));
     }
     paa_rows = std::make_shared<const sax::PaaMatrix>(
-        sax::PaaRows(*windows, options.paa_size, num_threads));
+        sax::PaaRows(*windows, options.paa_size));
     Insert(paa_key, paa_rows, paa_rows->data.capacity() * sizeof(double));
   }
-
-  auto records = std::make_shared<const std::vector<sax::SaxRecord>>(
-      sax::RecordsFromPaa(*paa_rows, options.alphabet,
-                          options.numerosity_reduction));
-  Insert(records_key, records, RecordsBytes(*records));
-  return records;
+  return sax::RecordsFromPaa(*paa_rows, options.alphabet,
+                             options.numerosity_reduction);
 }
 
 TrainingCache::Stats TrainingCache::stats() const {
-  Stats s;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    s.hits += shard->hits;
-    s.misses += shard->misses;
-    s.evictions += shard->evictions;
-    s.bytes += shard->bytes;
-    s.entries += shard->entries.size();
-  }
-  return s;
-}
-
-TrainingCache::Stats TrainingCache::shard_stats(std::size_t i) const {
-  const Shard& shard = *shards_.at(i);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  Stats s;
-  s.hits = shard.hits;
-  s.misses = shard.misses;
-  s.evictions = shard.evictions;
-  s.bytes = shard.bytes;
-  s.entries = shard.entries.size();
-  return s;
-}
-
-void TrainingCache::Clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->entries.clear();
-    shard->lru.clear();
-    shard->bytes = 0;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  return Stats{hits_, misses_, evictions_, bytes_, entries_.size()};
 }
 
 }  // namespace rpm::core

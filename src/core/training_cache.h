@@ -1,31 +1,26 @@
 // Cross-combo discretization cache for parameter selection (Section 4).
 // DIRECT / grid search probe hundreds of SAX triples against the same
 // per-split concatenated class series; without memoization every probe
-// repays the full sliding-window discretization. The cache stores the
-// three stages of sax::DiscretizeSlidingWindow at their natural sharing
-// granularity:
+// repays the full sliding-window discretization. The cache keeps the two
+// stages of sax::DiscretizeSlidingWindow that combos share:
 //
-//   z-normalized window matrix   keyed (series, window)            —
+//   z-normalized window matrix   keyed (series, window)       —
 //       shared by every (paa_size, alphabet) pair at that window
-//   PAA row matrix               keyed (series, window, paa)       —
+//   PAA row matrix               keyed (series, window, paa)  —
 //       shared by every alphabet at that (window, paa)
-//   numerosity-reduced records   keyed (series, window, paa, alphabet)
+//
+// Records are rebuilt from the cached PAA rows on every call: a search
+// almost never probes the same triple twice (the evaluator memoizes
+// combos), so a records layer would hold memory that is not reused.
 //
 // Series are identified by content (length + FNV-1a over the raw bytes
 // + boundary values), so callers need no bookkeeping and identical
-// class series across calls share entries automatically. Entries are
-// evicted LRU once the byte budget is exceeded; values are handed out
-// as shared_ptr so eviction never invalidates a borrower.
+// class series across calls share entries automatically. One mutex
+// guards one map and its LRU list; stages are computed outside the lock,
+// and entries are handed out as shared_ptr so eviction never invalidates
+// a borrower.
 //
-// The cache is sharded: keys hash onto `shards` independent
-// (mutex, map, LRU list) slices, each owning max_bytes/shards of the
-// budget, so concurrent split evaluations racing on different keys
-// never convoy on one lock (the cross-shard lock convoy the
-// archive-scale PR removed). Stages are still computed outside any
-// lock. Sharding is invisible to callers beyond stats(): results are
-// bit-identical for any shard count, budgets permitting.
-//
-// Every lookup path reproduces sax::DiscretizeSlidingWindow bit for bit
+// Every lookup reproduces sax::DiscretizeSlidingWindow bit for bit
 // (asserted by training_cache_test).
 
 #ifndef RPM_CORE_TRAINING_CACHE_H_
@@ -46,24 +41,18 @@ namespace rpm::core {
 
 class TrainingCache {
  public:
-  /// `max_bytes` bounds the resident payload (matrix + record storage)
-  /// across all shards; least-recently-used entries are dropped from a
-  /// shard once its max_bytes/shards slice is exceeded. `shards` == 0
-  /// picks the default (kDefaultShards).
-  explicit TrainingCache(std::size_t max_bytes = std::size_t{256} << 20,
-                         std::size_t shards = 0);
+  /// `max_bytes` bounds the resident matrices; least-recently-used
+  /// entries are dropped once it is exceeded. Parameter selection uses
+  /// the default; tests pass a small budget to force eviction.
+  explicit TrainingCache(std::size_t max_bytes = std::size_t{256} << 20);
 
   TrainingCache(const TrainingCache&) = delete;
   TrainingCache& operator=(const TrainingCache&) = delete;
 
-  static constexpr std::size_t kDefaultShards = 8;
-
-  /// Drop-in replacement for sax::DiscretizeSlidingWindow that memoizes
-  /// all three stages. `num_threads` parallelizes stage computation on
-  /// cache misses (results are identical for any value).
-  std::shared_ptr<const std::vector<sax::SaxRecord>> Discretize(
-      ts::SeriesView series, const sax::SaxOptions& options,
-      std::size_t num_threads = 1);
+  /// Same records as sax::DiscretizeSlidingWindow, built from the cached
+  /// window and PAA matrices. Safe to call from several threads.
+  std::vector<sax::SaxRecord> Discretize(ts::SeriesView series,
+                                         const sax::SaxOptions& options);
 
   struct Stats {
     std::size_t hits = 0;
@@ -72,23 +61,15 @@ class TrainingCache {
     std::size_t bytes = 0;
     std::size_t entries = 0;
   };
-  /// Aggregate over every shard.
   Stats stats() const;
-
-  /// One shard's slice of the stats (i < num_shards()).
-  Stats shard_stats(std::size_t i) const;
-
-  std::size_t num_shards() const { return shards_.size(); }
-
-  void Clear();
 
  private:
   struct Key {
     std::uint64_t series = 0;  ///< content fingerprint of the series
     std::uint32_t window = 0;
-    std::uint32_t paa = 0;       ///< 0 for the window-matrix stage
-    std::uint32_t alphabet = 0;  ///< 0 below the records stage
-    std::uint32_t flags = 0;     ///< bit0 znormalize, bit1 numerosity
+    std::uint32_t paa = 0;  ///< 0 for the window matrix
+    bool paa_rows = false;  ///< PAA rows, else the window matrix
+    bool znormalize = false;
 
     bool operator==(const Key&) const = default;
   };
@@ -101,24 +82,18 @@ class TrainingCache {
     std::list<Key>::iterator lru;
   };
 
-  /// One independent (budget, lock, map, LRU) slice of the cache.
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<Key, Entry, KeyHash> entries;
-    std::list<Key> lru;  ///< front = most recent
-    std::size_t bytes = 0;
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    std::size_t evictions = 0;
-  };
-
-  Shard& ShardFor(const Key& key);
   std::shared_ptr<const void> Find(const Key& key);
   void Insert(const Key& key, std::shared_ptr<const void> value,
               std::size_t bytes);
 
-  std::size_t shard_max_bytes_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const std::size_t max_bytes_;
+  mutable std::mutex mu_;  ///< guards every member below
+  std::unordered_map<Key, Entry, KeyHash> entries_;
+  std::list<Key> lru_;  ///< front = most recent
+  std::size_t bytes_ = 0;
+  std::size_t hits_ = 0;
+  std::size_t misses_ = 0;
+  std::size_t evictions_ = 0;
 };
 
 }  // namespace rpm::core

@@ -7,7 +7,6 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "ts/parallel.h"
 #include "ts/znorm.h"
 
 namespace rpm::sax {
@@ -171,18 +170,18 @@ std::vector<SaxRecord> DiscretizeSlidingWindow(ts::SeriesView series,
 }
 
 WindowMatrix SlidingWindows(ts::SeriesView series, std::size_t window,
-                            bool znormalize, std::size_t num_threads) {
+                            bool znormalize) {
   WindowMatrix out;
   out.window = window;
   if (window == 0 || series.size() < window) return out;
   out.count = series.size() - window + 1;
   out.data.resize(out.count * window);
-  ts::ParallelFor(out.count, num_threads, [&](std::size_t pos) {
+  for (std::size_t pos = 0; pos < out.count; ++pos) {
     double* row = out.data.data() + pos * window;
     const double* src = series.data() + pos;
     if (!znormalize) {
       std::copy_n(src, window, row);
-      return;
+      continue;
     }
     // Same flat-window rule and accumulation order as ZNormalizeInPlace,
     // with the mean pass shared between the mean and stddev. The moments
@@ -194,10 +193,10 @@ WindowMatrix SlidingWindows(ts::SeriesView series, std::size_t window,
     const double sigma = ts::StdDev(view, mu);
     if (sigma < ts::kFlatThreshold) {
       for (std::size_t i = 0; i < window; ++i) row[i] = src[i] - mu;
-      return;
+      continue;
     }
     for (std::size_t i = 0; i < window; ++i) row[i] = (src[i] - mu) / sigma;
-  });
+  }
   return out;
 }
 
@@ -265,8 +264,7 @@ void PaaApply(ts::SeriesView values, std::size_t segments,
 
 }  // namespace
 
-PaaMatrix PaaRows(const WindowMatrix& windows, std::size_t paa_size,
-                  std::size_t num_threads) {
+PaaMatrix PaaRows(const WindowMatrix& windows, std::size_t paa_size) {
   PaaMatrix out;
   out.paa_size = paa_size;
   out.count = windows.count;
@@ -276,20 +274,20 @@ PaaMatrix PaaRows(const WindowMatrix& windows, std::size_t paa_size,
   if (paa_size >= n) {
     // Upsample branch of Paa: each output point takes the covering input
     // point; nothing to precompute.
-    ts::ParallelFor(out.count, num_threads, [&](std::size_t i) {
+    for (std::size_t i = 0; i < out.count; ++i) {
       const ts::SeriesView row = windows.Row(i);
       double* dst = out.data.data() + i * paa_size;
       for (std::size_t s = 0; s < paa_size; ++s) {
         dst[s] = row[s * n / paa_size];
       }
-    });
+    }
     return out;
   }
   const PaaPlan plan = BuildPaaPlan(n, paa_size);
-  ts::ParallelFor(out.count, num_threads, [&](std::size_t i) {
+  for (std::size_t i = 0; i < out.count; ++i) {
     PaaApply(windows.Row(i), paa_size, plan,
              out.data.data() + i * paa_size);
-  });
+  }
   return out;
 }
 

@@ -2,7 +2,9 @@
 // substrate of RPM's Step 1 (Section 3.2.1), SAX-VSM and Fast Shapelets:
 // PAA dimensionality reduction followed by symbol mapping against
 // equiprobable Gaussian breakpoints, applied over a sliding window with
-// numerosity reduction.
+// numerosity reduction. DiscretizeSlidingWindow does it in one pass; the
+// staged functions below split it so parameter selection can reuse the
+// window and PAA matrices across SAX combos.
 
 #ifndef RPM_SAX_SAX_H_
 #define RPM_SAX_SAX_H_
@@ -65,18 +67,18 @@ std::vector<SaxRecord> DiscretizeSlidingWindow(ts::SeriesView series,
                                                const SaxOptions& options);
 
 // --- Staged discretization -------------------------------------------------
-// DiscretizeSlidingWindow factored into its three data-parallel stages so
-// the parameter-selection TrainingCache can memoize each layer: the window
+// DiscretizeSlidingWindow factored into its three stages so the
+// parameter-selection TrainingCache can keep the first two: the window
 // matrix is shared by every (paa, alphabet) pair at a fixed window, the
 // PAA matrix by every alphabet at a fixed (window, paa). Each stage applies
-// exactly the per-window operations of the streaming path, so composing
+// exactly the per-window operations of the one-pass path, so composing
 // them reproduces DiscretizeSlidingWindow bit for bit (asserted by
-// training_cache_test).
+// training_cache_test). The stages run on the calling thread: parameter
+// selection already runs one (combo x split) pair per pool worker.
 
 /// Stage 1: every sliding window of `series` as a row of a row-major
 /// `count x window` matrix, z-normalized per row when requested. `count`
-/// is 0 when the series is shorter than the window. Rows are independent
-/// and filled on the persistent pool when `num_threads > 1`.
+/// is 0 when the series is shorter than the window.
 struct WindowMatrix {
   std::size_t window = 0;
   std::size_t count = 0;
@@ -87,7 +89,7 @@ struct WindowMatrix {
   }
 };
 WindowMatrix SlidingWindows(ts::SeriesView series, std::size_t window,
-                            bool znormalize, std::size_t num_threads = 1);
+                            bool znormalize);
 
 /// Stage 2: PAA of every row; row-major `count x paa_size`.
 struct PaaMatrix {
@@ -99,8 +101,7 @@ struct PaaMatrix {
     return ts::SeriesView(data.data() + i * paa_size, paa_size);
   }
 };
-PaaMatrix PaaRows(const WindowMatrix& windows, std::size_t paa_size,
-                  std::size_t num_threads = 1);
+PaaMatrix PaaRows(const WindowMatrix& windows, std::size_t paa_size);
 
 /// Stage 3: symbolizes every PAA row and applies numerosity reduction.
 /// Row i's offset is i (rows are consecutive window positions).

@@ -1,6 +1,5 @@
-// Tests for the optimizers: DIRECT on standard test functions (it must
-// approach the global optimum within a modest budget, deterministically)
-// and the exhaustive integer grid search.
+// Tests for the optimizer: DIRECT on standard test functions (it must
+// approach the global optimum within a modest budget, deterministically).
 
 #include <gtest/gtest.h>
 
@@ -10,7 +9,6 @@
 #include <vector>
 
 #include "opt/direct.h"
-#include "opt/grid.h"
 
 namespace rpm::opt {
 namespace {
@@ -126,50 +124,6 @@ TEST(Direct, BatchObjectiveMustReturnOneValuePerPoint) {
                      return std::vector<double>(points.size() + 1, 0.0);
                    },
                    bounds, {25, 10, 1e-4}),
-               std::invalid_argument);
-}
-
-TEST(Grid, ExhaustiveMinimum) {
-  const std::vector<IntRange> ranges = {{0, 10, 1}, {-3, 3, 1}};
-  const auto r = GridSearchMin(
-      [](std::span<const int> p) {
-        return (p[0] - 7) * (p[0] - 7) + (p[1] + 2) * (p[1] + 2);
-      },
-      ranges);
-  EXPECT_EQ(r.best_point, (std::vector<int>{7, -2}));
-  EXPECT_EQ(r.best_value, 0.0);
-  EXPECT_EQ(r.evaluations, 11u * 7u);
-}
-
-TEST(Grid, StrideRespected) {
-  const std::vector<IntRange> ranges = {{0, 10, 5}};
-  std::vector<int> visited;
-  GridSearchMin(
-      [&](std::span<const int> p) {
-        visited.push_back(p[0]);
-        return 0.0;
-      },
-      ranges);
-  EXPECT_EQ(visited, (std::vector<int>{0, 5, 10}));
-}
-
-TEST(Grid, InfinityRejectionStillPicksFiniteMin) {
-  const std::vector<IntRange> ranges = {{0, 5, 1}};
-  const auto r = GridSearchMin(
-      [](std::span<const int> p) {
-        return p[0] == 3 ? 1.0
-                         : std::numeric_limits<double>::infinity();
-      },
-      ranges);
-  EXPECT_EQ(r.best_point, (std::vector<int>{3}));
-}
-
-TEST(Grid, EmptyRangeThrows) {
-  EXPECT_THROW(
-      GridSearchMin([](std::span<const int>) { return 0.0; }, {}),
-      std::invalid_argument);
-  EXPECT_THROW(GridSearchMin([](std::span<const int>) { return 0.0; },
-                             {{5, 1, 1}}),
                std::invalid_argument);
 }
 

@@ -90,9 +90,9 @@ TEST(PaaRowsTest, BitIdenticalToPerRowPaa) {
   ts::Series series(160);
   for (auto& v : series) v = rng.Gaussian(0.0, 1.0);
   for (std::size_t window : {7u, 16u, 30u}) {
-    const WindowMatrix windows = SlidingWindows(series, window, true, 1);
+    const WindowMatrix windows = SlidingWindows(series, window, true);
     for (std::size_t paa : {2u, 4u, 7u, 16u, 40u}) {
-      const PaaMatrix rows = PaaRows(windows, paa, 1);
+      const PaaMatrix rows = PaaRows(windows, paa);
       ASSERT_EQ(rows.count, windows.count);
       for (std::size_t i = 0; i < windows.count; ++i) {
         const ts::Series expect = Paa(windows.Row(i), paa);

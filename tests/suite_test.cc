@@ -121,6 +121,34 @@ TEST(Golden, DirectEvaluationCountPinned) {
   }
 }
 
+TEST(Golden, GridSelectionPinned) {
+  // kGrid evaluates its whole lattice, then considers it window fastest,
+  // then PAA, then alphabet, and a tie keeps the first point: the
+  // (window, paa, alphabet) it picks per class pins that order as well as
+  // the scores, at one thread and at every core.
+  const ts::DatasetSplit split = ts::MakeCbf(10, 4, 64, 93);
+  for (std::size_t threads : {std::size_t{1}, ts::DefaultThreads()}) {
+    core::RpmOptions opt;
+    opt.search = core::ParameterSearch::kGrid;
+    opt.grid_window_step = 12;
+    opt.param_splits = 2;
+    opt.param_folds = 2;
+    opt.num_threads = threads;
+    const core::ParameterSelectionResult result =
+        core::SelectSaxParameters(split.train, opt);
+    EXPECT_EQ(result.combos_evaluated, 48u) << threads << " threads";
+    ASSERT_EQ(result.sax_by_class.size(), 3u);
+    for (const auto& [label, window, paa, alphabet] :
+         {std::tuple{1, 32, 6, 5}, std::tuple{2, 20, 2, 3},
+          std::tuple{3, 20, 2, 9}}) {
+      const sax::SaxOptions& sax = result.sax_by_class.at(label);
+      EXPECT_EQ(sax.window, static_cast<std::size_t>(window)) << label;
+      EXPECT_EQ(sax.paa_size, static_cast<std::size_t>(paa)) << label;
+      EXPECT_EQ(sax.alphabet, alphabet) << label;
+    }
+  }
+}
+
 // The Table 1 cells whose methods run the best-match scan engine: RPM
 // (transform, distinct selection) and Fast Shapelets (candidate scoring,
 // seeded classification), on every suite dataset, as test-set

@@ -1,17 +1,18 @@
 // Equivalence and behavior tests for the cross-combo discretization
 // cache: every cached path must reproduce sax::DiscretizeSlidingWindow
-// bit for bit, layers must be shared at the right granularity, the LRU
-// byte bound must hold, and parameter selection with the cache enabled
-// must pick exactly the parameters the uncached path picks. Carries the
+// bit for bit, the window and PAA layers must be shared at the right
+// granularity, the LRU byte bound must hold, and candidate mining with a
+// cache must return exactly what it returns without one. Carries the
 // `training` ctest label so the pool/cache interplay runs under TSan.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <map>
 #include <vector>
 
+#include "core/candidates.h"
 #include "core/options.h"
-#include "core/parameter_selection.h"
 #include "core/training_cache.h"
 #include "sax/sax.h"
 #include "ts/generators.h"
@@ -30,6 +31,14 @@ ts::Series MakeSeries(std::size_t n, std::uint64_t seed) {
     x = v;
   }
   return s;
+}
+
+sax::SaxOptions Sax(std::size_t window, std::size_t paa, int alphabet) {
+  sax::SaxOptions opt;
+  opt.window = window;
+  opt.paa_size = paa;
+  opt.alphabet = alphabet;
+  return opt;
 }
 
 TEST(StagedDiscretization, ComposesToStreamingPath) {
@@ -59,26 +68,15 @@ TEST(StagedDiscretization, ComposesToStreamingPath) {
   }
 }
 
-TEST(StagedDiscretization, ThreadedStagesAreIdentical) {
-  const ts::Series s = MakeSeries(400, 9);
-  const auto seq = sax::SlidingWindows(s, 30, true, 1);
-  const auto par = sax::SlidingWindows(s, 30, true, 8);
-  EXPECT_EQ(seq.data, par.data);
-  EXPECT_EQ(sax::PaaRows(seq, 5, 1).data, sax::PaaRows(par, 5, 8).data);
-}
-
 TEST(TrainingCache, MatchesDirectDiscretization) {
   const ts::Series s = MakeSeries(500, 11);
   TrainingCache cache;
   for (std::size_t w : {std::size_t{10}, std::size_t{40}}) {
     for (std::size_t paa : {std::size_t{4}, std::size_t{8}}) {
       for (int alphabet : {3, 5, 9}) {
-        sax::SaxOptions opt;
-        opt.window = w;
-        opt.paa_size = paa;
-        opt.alphabet = alphabet;
-        const auto cached = cache.Discretize(s, opt);
-        EXPECT_EQ(*cached, sax::DiscretizeSlidingWindow(s, opt))
+        const sax::SaxOptions opt = Sax(w, paa, alphabet);
+        EXPECT_EQ(cache.Discretize(s, opt),
+                  sax::DiscretizeSlidingWindow(s, opt))
             << "w=" << w << " paa=" << paa << " a=" << alphabet;
       }
     }
@@ -88,148 +86,85 @@ TEST(TrainingCache, MatchesDirectDiscretization) {
 TEST(TrainingCache, SharesLayersAtTheRightGranularity) {
   const ts::Series s = MakeSeries(200, 21);
   TrainingCache cache;
-  sax::SaxOptions opt;
-  opt.window = 20;
-  opt.paa_size = 5;
-  opt.alphabet = 4;
+  sax::SaxOptions opt = Sax(20, 5, 4);
 
+  // Cold call misses both layers and keeps the window and PAA matrices.
   cache.Discretize(s, opt);
-  const auto after_first = cache.stats();
-  // Cold call misses all three layers.
-  EXPECT_EQ(after_first.hits, 0u);
-  EXPECT_EQ(after_first.entries, 3u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().entries, 2u);
 
-  // Same triple again: records-level hit, nothing recomputed.
+  // Same triple again: the PAA rows hit, nothing is recomputed.
   cache.Discretize(s, opt);
-  EXPECT_EQ(cache.stats().hits, after_first.hits + 1);
-  EXPECT_EQ(cache.stats().entries, 3u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().entries, 2u);
 
-  // New alphabet at the same (window, paa): PAA rows are reused.
+  // New alphabet at the same (window, paa): the PAA rows are reused.
   opt.alphabet = 7;
-  cache.Discretize(s, opt);
-  EXPECT_EQ(cache.stats().entries, 4u);  // only a new records entry
+  EXPECT_EQ(cache.Discretize(s, opt), sax::DiscretizeSlidingWindow(s, opt));
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().entries, 2u);
 
   // New paa at the same window: the window matrix is reused.
   opt.paa_size = 9;
-  cache.Discretize(s, opt);
-  EXPECT_EQ(cache.stats().entries, 6u);  // new PAA rows + records
+  EXPECT_EQ(cache.Discretize(s, opt), sax::DiscretizeSlidingWindow(s, opt));
+  EXPECT_EQ(cache.stats().hits, 3u);
+  EXPECT_EQ(cache.stats().misses, 3u);
+  EXPECT_EQ(cache.stats().entries, 3u);  // only new PAA rows
 
   // A different series must not collide with any existing entry.
   const ts::Series other = MakeSeries(200, 22);
-  const auto records = cache.Discretize(other, opt);
-  EXPECT_EQ(*records, sax::DiscretizeSlidingWindow(other, opt));
-  EXPECT_EQ(cache.stats().entries, 9u);
+  EXPECT_EQ(cache.Discretize(other, opt),
+            sax::DiscretizeSlidingWindow(other, opt));
+  EXPECT_EQ(cache.stats().hits, 3u);
+  EXPECT_EQ(cache.stats().entries, 5u);
 }
 
 TEST(TrainingCache, EvictsLruButStaysCorrect) {
   const ts::Series s = MakeSeries(600, 31);
-  // Budget far below one window matrix: every call recomputes, results
-  // must still be exact and the resident size bounded. One shard, so the
-  // assertions below see a single LRU list.
-  TrainingCache cache(4096, 1);
-  sax::SaxOptions opt;
-  opt.window = 50;
-  for (int alphabet = 3; alphabet <= 8; ++alphabet) {
-    opt.alphabet = alphabet;
-    const auto cached = cache.Discretize(s, opt);
-    EXPECT_EQ(*cached, sax::DiscretizeSlidingWindow(s, opt));
+  const sax::SaxOptions p4 = Sax(50, 4, 3);
+  const sax::SaxOptions p6 = Sax(50, 6, 3);
+  const sax::SaxOptions p8 = Sax(50, 8, 3);
+  // A budget one byte short of the window matrix plus three PAA matrices.
+  std::size_t all_bytes = 0;
+  {
+    TrainingCache probe;
+    for (const auto& opt : {p4, p6, p8}) probe.Discretize(s, opt);
+    all_bytes = probe.stats().bytes;
   }
-  EXPECT_GT(cache.stats().evictions, 0u);
-  // The bound may be exceeded only by the most recent insertion chain.
-  EXPECT_LE(cache.stats().entries, 3u);
-}
+  TrainingCache cache(all_bytes - 1);
+  cache.Discretize(s, p4);
+  cache.Discretize(s, p6);
+  sax::SaxOptions p4_again = p4;
+  p4_again.alphabet = 5;
+  EXPECT_EQ(cache.Discretize(s, p4_again),
+            sax::DiscretizeSlidingWindow(s, p4_again));  // touches p4's rows
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  // p8's rows push the least recently used entry, p6's rows, out.
+  EXPECT_EQ(cache.Discretize(s, p8), sax::DiscretizeSlidingWindow(s, p8));
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().entries, 3u);
+  EXPECT_LE(cache.stats().bytes, all_bytes - 1);
+  const auto before = cache.stats();
+  cache.Discretize(s, p4);  // still resident: one hit, no miss
+  EXPECT_EQ(cache.stats().hits, before.hits + 1);
+  EXPECT_EQ(cache.stats().misses, before.misses);
+  EXPECT_EQ(cache.Discretize(s, p6), sax::DiscretizeSlidingWindow(s, p6));
+  EXPECT_EQ(cache.stats().misses, before.misses + 1);  // p6 recomputed
 
-TEST(TrainingCache, ShardCountDoesNotChangeResults) {
-  const ts::Series s = MakeSeries(400, 33);
-  // 1, default, and many shards must produce bit-identical records and
-  // identical aggregate hit/miss accounting for a sequential workload.
-  TrainingCache one(std::size_t{16} << 20, 1);
-  TrainingCache dflt(std::size_t{16} << 20);
-  TrainingCache many(std::size_t{16} << 20, 64);
-  EXPECT_EQ(one.num_shards(), 1u);
-  EXPECT_EQ(dflt.num_shards(), TrainingCache::kDefaultShards);
-  EXPECT_EQ(many.num_shards(), 64u);
-  for (std::size_t w : {std::size_t{12}, std::size_t{30}}) {
-    for (int alphabet : {3, 6}) {
-      sax::SaxOptions opt;
+  // Budget far below one window matrix: results stay exact and only the
+  // most recent insertion chain stays resident.
+  TrainingCache tiny(4096);
+  sax::SaxOptions opt = Sax(50, 6, 3);
+  for (std::size_t w : {std::size_t{20}, std::size_t{50}}) {
+    for (int alphabet = 3; alphabet <= 8; ++alphabet) {
       opt.window = w;
-      opt.paa_size = 5;
       opt.alphabet = alphabet;
-      const auto a = one.Discretize(s, opt);
-      const auto b = dflt.Discretize(s, opt);
-      const auto c = many.Discretize(s, opt);
-      EXPECT_EQ(*a, *b);
-      EXPECT_EQ(*a, *c);
+      EXPECT_EQ(tiny.Discretize(s, opt), sax::DiscretizeSlidingWindow(s, opt));
     }
   }
-  const auto sa = one.stats();
-  const auto sb = dflt.stats();
-  const auto sc = many.stats();
-  EXPECT_EQ(sa.hits, sb.hits);
-  EXPECT_EQ(sa.misses, sb.misses);
-  EXPECT_EQ(sa.entries, sb.entries);
-  EXPECT_EQ(sa.hits, sc.hits);
-  EXPECT_EQ(sa.entries, sc.entries);
-}
-
-TEST(TrainingCache, ShardStatsSumToAggregate) {
-  const ts::Series s = MakeSeries(300, 35);
-  TrainingCache cache;
-  for (std::size_t w = 8; w <= 40; w += 4) {
-    sax::SaxOptions opt;
-    opt.window = w;
-    opt.paa_size = 4;
-    opt.alphabet = 5;
-    cache.Discretize(s, opt);
-    cache.Discretize(s, opt);  // one records-level hit per combo
-  }
-  TrainingCache::Stats sum;
-  for (std::size_t i = 0; i < cache.num_shards(); ++i) {
-    const auto shard = cache.shard_stats(i);
-    sum.hits += shard.hits;
-    sum.misses += shard.misses;
-    sum.evictions += shard.evictions;
-    sum.bytes += shard.bytes;
-    sum.entries += shard.entries;
-  }
-  const auto total = cache.stats();
-  EXPECT_EQ(sum.hits, total.hits);
-  EXPECT_EQ(sum.misses, total.misses);
-  EXPECT_EQ(sum.evictions, total.evictions);
-  EXPECT_EQ(sum.bytes, total.bytes);
-  EXPECT_EQ(sum.entries, total.entries);
-  EXPECT_GT(total.hits, 0u);
-
-  cache.Clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().bytes, 0u);
-}
-
-TEST(TrainingCache, ShardedConcurrentHammerStaysExact) {
-  const ts::Series s = MakeSeries(500, 37);
-  // Tiny per-shard budgets force concurrent eviction alongside the
-  // concurrent hits/misses; every returned value must still be exact
-  // (runs under TSan via the `training` label).
-  TrainingCache cache(std::size_t{64} << 10, 4);
-  std::vector<sax::SaxOptions> combos;
-  for (std::size_t w : {std::size_t{10}, std::size_t{24}, std::size_t{40}}) {
-    for (int alphabet : {3, 5, 7}) {
-      sax::SaxOptions opt;
-      opt.window = w;
-      opt.paa_size = 6;
-      opt.alphabet = alphabet;
-      combos.push_back(opt);
-    }
-  }
-  const std::size_t reps = 6;
-  std::vector<int> ok(combos.size() * reps, 0);
-  ts::ParallelFor(ok.size(), 8, [&](std::size_t i) {
-    const auto& opt = combos[i % combos.size()];
-    ok[i] = *cache.Discretize(s, opt) == sax::DiscretizeSlidingWindow(s, opt)
-                ? 1
-                : 0;
-  });
-  for (std::size_t i = 0; i < ok.size(); ++i) EXPECT_EQ(ok[i], 1);
+  EXPECT_GT(tiny.stats().evictions, 0u);
+  EXPECT_LE(tiny.stats().entries, 2u);
 }
 
 TEST(TrainingCache, ZeroWindowAndShortSeries) {
@@ -237,9 +172,38 @@ TEST(TrainingCache, ZeroWindowAndShortSeries) {
   sax::SaxOptions opt;
   opt.window = 100;
   const ts::Series tiny = MakeSeries(10, 5);
-  EXPECT_TRUE(cache.Discretize(tiny, opt)->empty());
+  EXPECT_TRUE(cache.Discretize(tiny, opt).empty());
   opt.window = 0;
-  EXPECT_TRUE(cache.Discretize(tiny, opt)->empty());
+  EXPECT_TRUE(cache.Discretize(tiny, opt).empty());
+  // Zero PAA segments: the PAA entry must not alias the window matrix.
+  const ts::Series s = MakeSeries(200, 6);
+  for (int alphabet : {3, 4}) {
+    opt = Sax(20, 0, alphabet);
+    EXPECT_EQ(cache.Discretize(s, opt), sax::DiscretizeSlidingWindow(s, opt))
+        << "a=" << alphabet;
+  }
+}
+
+TEST(TrainingCache, ShardedConcurrentHammerStaysExact) {
+  const ts::Series s = MakeSeries(500, 37);
+  // 64 KiB is far less than these combos' matrices take, so eviction
+  // races the concurrent hits and misses; every returned value must
+  // still be exact (runs under TSan via the `training` label).
+  TrainingCache cache(std::size_t{64} << 10);
+  std::vector<sax::SaxOptions> combos;
+  for (std::size_t w : {std::size_t{10}, std::size_t{24}, std::size_t{40}}) {
+    for (int alphabet : {3, 5, 7}) combos.push_back(Sax(w, 6, alphabet));
+  }
+  const std::size_t reps = 6;
+  std::vector<int> ok(combos.size() * reps, 0);
+  ts::ParallelFor(ok.size(), 8, [&](std::size_t i) {
+    const auto& opt = combos[i % combos.size()];
+    ok[i] = cache.Discretize(s, opt) == sax::DiscretizeSlidingWindow(s, opt)
+                ? 1
+                : 0;
+  });
+  for (std::size_t i = 0; i < ok.size(); ++i) EXPECT_EQ(ok[i], 1);
+  EXPECT_GT(cache.stats().evictions, 0u);
 }
 
 TEST(TrainingCache, ConcurrentLookupsAreConsistent) {
@@ -248,13 +212,7 @@ TEST(TrainingCache, ConcurrentLookupsAreConsistent) {
   std::vector<sax::SaxOptions> combos;
   for (std::size_t w : {std::size_t{10}, std::size_t{20}}) {
     for (std::size_t paa : {std::size_t{4}, std::size_t{6}}) {
-      for (int alphabet : {3, 5}) {
-        sax::SaxOptions opt;
-        opt.window = w;
-        opt.paa_size = paa;
-        opt.alphabet = alphabet;
-        combos.push_back(opt);
-      }
+      for (int alphabet : {3, 5}) combos.push_back(Sax(w, paa, alphabet));
     }
   }
   // Hammer the cache from the pool, repeating each combo several times so
@@ -262,39 +220,46 @@ TEST(TrainingCache, ConcurrentLookupsAreConsistent) {
   const std::size_t reps = 8;
   std::vector<std::vector<sax::SaxRecord>> out(combos.size() * reps);
   ts::ParallelFor(out.size(), 8, [&](std::size_t i) {
-    out[i] = *cache.Discretize(s, combos[i % combos.size()]);
+    out[i] = cache.Discretize(s, combos[i % combos.size()]);
   });
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i],
               sax::DiscretizeSlidingWindow(s, combos[i % combos.size()]));
   }
+  EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
-// End-to-end: parameter selection with the cache on and off must choose
-// exactly the same per-class SAX parameters and evaluate the same combos.
-TEST(TrainingCache, ParameterSelectionUnchangedByCache) {
+// Candidate mining is the cache's one caller: with a cache, cold and then
+// warm, it must return exactly the candidates it returns without one.
+TEST(TrainingCache, CandidatesUnchangedByCache) {
   const ts::Dataset train = ts::MakeCbf(8, 1, 64, 7).train;
-
-  RpmOptions with_cache;
-  with_cache.search = ParameterSearch::kDirect;
-  with_cache.direct_max_evaluations = 8;
-  with_cache.param_splits = 2;
-  with_cache.param_folds = 2;
-  RpmOptions without_cache = with_cache;
-  without_cache.training_cache_bytes = 0;
-
-  const ParameterSelectionResult a = SelectSaxParameters(train, with_cache);
-  const ParameterSelectionResult b =
-      SelectSaxParameters(train, without_cache);
-  EXPECT_EQ(a.combos_evaluated, b.combos_evaluated);
-  ASSERT_EQ(a.sax_by_class.size(), b.sax_by_class.size());
-  for (const auto& [label, sax] : a.sax_by_class) {
-    const auto it = b.sax_by_class.find(label);
-    ASSERT_NE(it, b.sax_by_class.end());
-    EXPECT_EQ(sax.window, it->second.window) << "label=" << label;
-    EXPECT_EQ(sax.paa_size, it->second.paa_size) << "label=" << label;
-    EXPECT_EQ(sax.alphabet, it->second.alphabet) << "label=" << label;
+  const RpmOptions options;
+  TrainingCache cache;
+  for (const sax::SaxOptions& sax :
+       {Sax(12, 4, 4), Sax(12, 6, 4), Sax(12, 4, 6), Sax(24, 4, 4)}) {
+    std::map<int, sax::SaxOptions> sax_by_class;
+    for (int label : train.ClassLabels()) sax_by_class[label] = sax;
+    const std::vector<PatternCandidate> want =
+        FindAllCandidates(train, sax_by_class, options);
+    ASSERT_FALSE(want.empty()) << "w=" << sax.window;
+    for (const char* pass : {"cold", "warm"}) {
+      const std::vector<PatternCandidate> got =
+          FindAllCandidates(train, sax_by_class, options, &cache);
+      ASSERT_EQ(got.size(), want.size()) << pass;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].class_label, want[i].class_label) << pass << i;
+        EXPECT_EQ(got[i].values, want[i].values) << pass << i;
+        EXPECT_EQ(got[i].frequency, want[i].frequency) << pass << i;
+        EXPECT_EQ(got[i].instance_coverage, want[i].instance_coverage)
+            << pass << i;
+        EXPECT_EQ(got[i].rule_id, want[i].rule_id) << pass << i;
+        EXPECT_EQ(got[i].within_cluster_distances,
+                  want[i].within_cluster_distances)
+            << pass << i;
+      }
+    }
   }
+  EXPECT_GT(cache.stats().hits, 0u);
 }
 
 }  // namespace
