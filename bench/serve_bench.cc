@@ -1,15 +1,15 @@
-// Serving-layer benchmark: per-request classification (the pre-serve
-// status quo — every Classify call rebuilds all K pattern contexts) vs
-// the batched inference server, single-stream and with 16 concurrent
+// Serving-layer benchmark: sequential in-process Classify calls on the
+// trained model (whose pattern contexts are built once, in Train) vs the
+// batched inference server, single-stream and with 16 concurrent
 // clients. Writes BENCH_serve.json with throughput and p50/p99 latency
 // per mode, and BENCH_serve_metrics.json with the METRICS scrape taken
 // at the end of the run (observability — tracing at the rpm_serve
 // default 1/16 sampling — stays enabled throughout, so the bench
 // numbers measure the instrumented configuration).
 //
-// The serving win measured here is context amortization and micro-
-// batching; on multi-core hosts batch dispatch additionally spreads rows
-// across the PR-1 thread pool.
+// Both sides reuse the same warm contexts, so what separates them is the
+// server's queueing and micro-batching: on multi-core hosts batch
+// dispatch spreads rows across the thread pool.
 
 #include <algorithm>
 #include <chrono>
@@ -50,8 +50,8 @@ double PercentileUs(std::vector<double>& latencies, double p) {
   return latencies[std::size_t(rank + 0.5)];
 }
 
-// The pre-serve baseline: sequential Classify calls, one request at a
-// time, contexts rebuilt inside every call.
+// The in-process baseline: sequential Classify calls, one request at a
+// time, through the model's warm engine.
 ModeResult RunPerRequest(const rpm::core::RpmClassifier& clf,
                          const rpm::ts::Dataset& requests) {
   ModeResult result;
@@ -175,11 +175,9 @@ int main() {
   rpm::obs::Tracer::Default().Enable(true);
 
   // A long-pattern model: window near the series length means each
-  // representative pattern spans most of the series, so the per-call
-  // context rebuild (z-norm copy + O(n log n) sort per pattern) that the
-  // baseline pays on every request dominates the comparatively short
-  // sliding-window scan. This is the regime the serving layer's warm
-  // contexts are built for.
+  // representative pattern spans most of the series, so every request
+  // scans few windows per pattern and the fixed per-request costs of
+  // each mode stand out.
   const rpm::ts::DatasetSplit split = rpm::ts::MakeTrace(160, 10, 512, 7);
   rpm::core::RpmOptions options;
   options.search = rpm::core::ParameterSearch::kFixed;

@@ -36,7 +36,7 @@ int main() {
   }
 
   const ml::FeatureDataset f =
-      core::TransformDataset(patterns, split.train, false);
+      core::TransformEngine(patterns).Apply(split.train);
   std::printf("\n# Figure 6 data: distance to pattern 1, distance to "
               "pattern 2, class\n");
   const std::size_t d2 = std::min<std::size_t>(2, f.num_features());

@@ -15,9 +15,11 @@
 # (`dataset` label: concurrent mmap readers racing the lazy per-chunk
 # CRC flags). Any data race in the pool, the parallel transform paths,
 # the training cache, the serve path, the stream session manager, the
-# metric/trace cells, or the shard reactors fails the script.
+# metric/trace cells, or the shard reactors fails the script. It then
+# builds the ASan+UBSan configuration and runs every tier-1 test there.
 #
-# Usage: scripts/tsan_check.sh [build-dir]   (default: build-tsan)
+# Usage: scripts/tsan_check.sh [tsan-dir] [asan-dir]
+#        (defaults: build-tsan, build-asan)
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -68,47 +70,23 @@ ctest --test-dir "${build_dir}" --output-on-failure -L dataset
 
 echo "TSan check passed."
 
-# ASan+UBSan pass over the matcher suites (`matcher` ctest label: the
-# batched-scan equivalence tests and the SoA pattern-store cross-tier
-# golden sweep — including the seeded/any-below golden suites) and the
-# training-path suites (`training` label: clustering, DTW cascade,
-# training cache, distinct selection — the consumers now routed through
-# the store's seeded scans). The slab kernels read zero-padded 64-byte
-# rows, the one-pattern calls run the same kernels over unpadded
-# PatternContext rows, and the across-window dot loops issue unaligned
-# vector loads right up to the last window — ASan catches any read past
-# the arena, a pattern row or the series buffer, UBSan any misaligned-pointer or overflow slip in
-# the bucket index arithmetic. TSan cannot see either, hence the
-# separate build.
+# ASan+UBSan over every tier-1 test, examples included, in one ctest
+# run. The matcher's slab kernels read zero-padded 64-byte rows and issue
+# unaligned vector loads right up to the last window; the fuzz sweeps
+# feed adversarial bytes to the codecs and the model loaders; the
+# dataset sweeps hand the mmap parser corrupt headers and length tables;
+# the transform engines and trained models are moved and outlive the
+# vectors they were built from. ASan catches any read past a buffer or
+# after its free, UBSan any misaligned pointer or overflow; TSan sees
+# neither, hence the separate build.
 asan_build_dir="${2:-${repo_root}/build-asan}"
 cmake -S "${repo_root}" -B "${asan_build_dir}" \
   -DRPM_SANITIZE=address,undefined \
-  -DRPM_BUILD_BENCHMARKS=OFF \
-  -DRPM_BUILD_EXAMPLES=OFF
+  -DRPM_BUILD_BENCHMARKS=OFF
 cmake --build "${asan_build_dir}" -j
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=0 ${ASAN_OPTIONS:-}"
 export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
-ctest --test-dir "${asan_build_dir}" --output-on-failure -L matcher
-ctest --test-dir "${asan_build_dir}" --output-on-failure -L training
+ctest --test-dir "${asan_build_dir}" --output-on-failure
 
-# The fuzz suites run here too: the bounded protocol sweep and the
-# model-mutation sweep feed adversarial bytes into the frame/line
-# assemblers and the model loaders, where heap overreads and integer
-# overflows (count bombs) are exactly what ASan/UBSan see and TSan
-# cannot.
-ctest --test-dir "${asan_build_dir}" --output-on-failure -L fuzz
-
-# The serving suites run here too: every request on either codec goes
-# through the protocol decoders and encoders (payload reads, CSV parsing,
-# reply formatting) and the queue/session paths they dispatch to.
-ctest --test-dir "${asan_build_dir}" --output-on-failure -L 'serve|net|stream'
-
-# The dataset suites run here too: the byte-flip and truncation sweeps
-# hand the mmap parser adversarial headers, directories, and length
-# tables, where out-of-bounds offsets and count bombs are what
-# ASan/UBSan see; the round-trip suites walk every zero-copy view right
-# up to the mapping's edge.
-ctest --test-dir "${asan_build_dir}" --output-on-failure -L dataset
-
-echo "ASan+UBSan matcher+training+fuzz+serve+net+stream+dataset check passed."
+echo "ASan+UBSan check passed."

@@ -1,7 +1,6 @@
 #include "baselines/classifier.h"
 
 #include "ml/metrics.h"
-#include "ts/parallel.h"
 
 namespace rpm::baselines {
 
@@ -9,15 +8,6 @@ std::vector<int> Classifier::ClassifyAll(const ts::Dataset& test) const {
   std::vector<int> out;
   out.reserve(test.size());
   for (const auto& inst : test) out.push_back(Classify(inst.values));
-  return out;
-}
-
-std::vector<int> Classifier::ClassifyAllParallel(
-    const ts::Dataset& test, std::size_t num_threads) const {
-  std::vector<int> out(test.size(), 0);
-  ts::ParallelFor(test.size(), num_threads, [&](std::size_t i) {
-    out[i] = Classify(test[i].values);
-  });
   return out;
 }
 

@@ -26,16 +26,10 @@ class Classifier {
   /// Display name used in benchmark tables.
   virtual std::string Name() const = 0;
 
-  /// Predicts every instance of `test`. The default loops Classify;
-  /// subclasses with batch-amortizable state (e.g. RpmAdapter's pattern
-  /// contexts) override it.
+  /// Predicts every instance of `test`. The default loops Classify on
+  /// the calling thread; RpmAdapter overrides it to run the batch on its
+  /// options' `num_threads` pool workers.
   virtual std::vector<int> ClassifyAll(const ts::Dataset& test) const;
-
-  /// Batch classification on the persistent thread pool. Classify is
-  /// const and stateless across calls for every implementation here, so
-  /// predictions are identical to ClassifyAll for any thread count.
-  std::vector<int> ClassifyAllParallel(const ts::Dataset& test,
-                                       std::size_t num_threads) const;
 
   /// Error rate on a labeled test set.
   double Evaluate(const ts::Dataset& test) const;

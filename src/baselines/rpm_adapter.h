@@ -18,8 +18,8 @@ class RpmAdapter : public Classifier {
     return clf_.Classify(series);
   }
   std::vector<int> ClassifyAll(const ts::Dataset& test) const override {
-    // Delegate so the pattern contexts are built once per batch instead
-    // of once per series.
+    // Delegate so the batch runs on the options' num_threads pool
+    // workers (rpm_cli evaluate) instead of the base class's serial loop.
     return clf_.ClassifyAll(test);
   }
   std::string Name() const override { return "RPM"; }

@@ -5,24 +5,20 @@
 #include <numeric>
 
 #include "distance/euclidean.h"
-#include "ts/parallel.h"
 
 namespace rpm::cluster {
 
 std::vector<double> PairwiseDistanceMatrix(
-    const std::vector<ts::Series>& items, std::size_t num_threads) {
+    const std::vector<ts::Series>& items) {
   const std::size_t n = items.size();
   std::vector<double> d(n * n, 0.0);
-  // Row i owns every (i, j) pair with j > i and writes both symmetric
-  // slots; no slot is written twice, so the parallel fill is race-free
-  // and identical for any thread count.
-  ts::ParallelFor(n, num_threads, [&](std::size_t i) {
+  for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       const double dist = distance::Euclidean(items[i], items[j]);
       d[i * n + j] = dist;
       d[j * n + i] = dist;
     }
-  });
+  }
   return d;
 }
 
@@ -249,7 +245,7 @@ SplitResult IterativeSplitWithMatrix(const std::vector<ts::Series>& items,
                                      const SplitOptions& options) {
   SplitResult out;
   if (items.empty()) return out;
-  out.matrix = PairwiseDistanceMatrix(items, options.num_threads);
+  out.matrix = PairwiseDistanceMatrix(items);
   std::vector<std::size_t> all(items.size());
   std::iota(all.begin(), all.end(), 0);
   SplitRecursive(out.matrix, items.size(), std::move(all), options,

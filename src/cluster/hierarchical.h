@@ -27,11 +27,9 @@
 namespace rpm::cluster {
 
 /// Pairwise Euclidean distance matrix of equal-length items, row-major,
-/// d(i,j) at [i * n + j]. With `num_threads > 1` rows are filled on the
-/// persistent thread pool; every (i, j) slot is written exactly once, so
-/// the result is identical for any thread count.
+/// d(i,j) at [i * n + j].
 std::vector<double> PairwiseDistanceMatrix(
-    const std::vector<ts::Series>& items, std::size_t num_threads = 1);
+    const std::vector<ts::Series>& items);
 
 /// One agglomeration step: the clusters occupying dendrogram slots
 /// `a < b` were merged (b into a) at complete-linkage height `height`.
@@ -91,9 +89,6 @@ struct SplitOptions {
   /// realizes the paper's intent of splitting only motifs that "contain
   /// more than one group of similar patterns".
   double max_child_diameter_fraction = 0.7;
-  /// Threads for the up-front pairwise matrix; the refinement result is
-  /// identical for any value.
-  std::size_t num_threads = 1;
 };
 
 /// Iteratively splits `items` per the paper's rule. Returns groups as

@@ -22,6 +22,8 @@ void RpmClassifier::Train(const ts::Dataset& train) {
   }
   trained_ = false;
   patterns_.clear();
+  feature_classifier_.reset();
+  engine_.reset();
   report_ = TrainingReport{};
   using Clock = std::chrono::steady_clock;
   auto seconds_since = [](Clock::time_point t0) {
@@ -67,15 +69,14 @@ void RpmClassifier::Train(const ts::Dataset& train) {
   }
   t0 = Clock::now();
 
-  // Stage 3: fit the feature-space classifier (training transform is
+  // Stage 3: fit the feature-space classifier on the training set
+  // transformed by the engine Classify keeps using (training rows are
   // never rotation-augmented; the invariance trick applies at test time).
-  TransformOptions train_transform;
-  train_transform.num_threads = options_.num_threads;
-  const ml::FeatureDataset transformed =
-      TransformDataset(patterns_, train, train_transform);
+  engine_.emplace(patterns_);
   feature_classifier_ = ml::MakeFeatureClassifier(
       options_.final_classifier, options_.svm, options_.knn_k);
-  feature_classifier_->Train(transformed);
+  feature_classifier_->Train(engine_->Apply(train, options_.num_threads));
+  if (!feature_classifier_->trained()) engine_.reset();
   report_.classifier_fit_seconds = seconds_since(t0);
   trained_ = true;
 }
@@ -94,41 +95,47 @@ void RpmClassifier::Train(const ts::DatasetReader& archive,
   Train(archive.ReadSubset(subset));
 }
 
-TransformOptions RpmClassifier::classify_transform_options() const {
-  TransformOptions transform;
-  transform.rotation_invariant = options_.rotation_invariant;
-  return transform;
+namespace {
+
+// The one batch loop behind ClassifyAll and ClassifyBatch: every slot is
+// written by exactly one Classify call, so the labels are identical for
+// any thread count.
+template <typename SeriesAt>
+std::vector<int> ClassifyEach(const RpmClassifier& clf, std::size_t n,
+                              std::size_t num_threads,
+                              const SeriesAt& series_at) {
+  std::vector<int> out(n, 0);
+  ts::ParallelFor(n, num_threads, [&](std::size_t i) {
+    out[i] = clf.Classify(series_at(i));
+  });
+  return out;
 }
+
+}  // namespace
 
 int RpmClassifier::Classify(ts::SeriesView series) const {
   if (!trained_) {
     throw std::logic_error("RpmClassifier::Classify before Train");
   }
-  if (patterns_.empty() || feature_classifier_ == nullptr ||
-      !feature_classifier_->trained()) {
-    return majority_label_;
-  }
-  const std::vector<double> row =
-      TransformSeries(patterns_, series, classify_transform_options());
-  return feature_classifier_->Predict(row);
+  if (!engine_.has_value()) return majority_label_;
+  return feature_classifier_->Predict(
+      engine_->Row(series, options_.rotation_invariant));
 }
 
 std::vector<int> RpmClassifier::ClassifyAll(const ts::Dataset& test) const {
   if (!trained_) {
     throw std::logic_error("RpmClassifier::ClassifyAll before Train");
   }
-  const ClassificationEngine engine(*this);
-  return engine.ClassifyDataset(test, options_.num_threads);
+  return ClassifyEach(*this, test.size(), options_.num_threads,
+                      [&](std::size_t i) -> const ts::Series& {
+                        return test[i].values;
+                      });
 }
 
 ClassificationEngine::ClassificationEngine(const RpmClassifier& clf)
     : clf_(&clf) {
   if (!clf.trained()) {
     throw std::logic_error("ClassificationEngine: classifier not trained");
-  }
-  if (!clf.patterns().empty() && clf.feature_classifier() != nullptr &&
-      clf.feature_classifier()->trained()) {
-    engine_.emplace(clf.patterns(), clf.classify_transform_options());
   }
 }
 
@@ -137,23 +144,24 @@ std::size_t ClassificationEngine::num_patterns() const {
 }
 
 std::vector<double> ClassificationEngine::Row(ts::SeriesView series) const {
-  if (!engine_.has_value()) {
+  if (!has_feature_space()) {
     throw std::logic_error("ClassificationEngine::Row: no feature space");
   }
-  return engine_->Row(series);
+  return clf_->engine()->Row(series, clf_->options().rotation_invariant);
 }
 
 void ClassificationEngine::RowInto(ts::SeriesView series,
                                    TransformScratch* scratch,
                                    std::vector<double>* row) const {
-  if (!engine_.has_value()) {
+  if (!has_feature_space()) {
     throw std::logic_error("ClassificationEngine::RowInto: no feature space");
   }
-  engine_->RowInto(series, scratch, row);
+  clf_->engine()->RowInto(series, clf_->options().rotation_invariant,
+                          scratch, row);
 }
 
 int ClassificationEngine::PredictRow(std::span<const double> row) const {
-  if (!engine_.has_value()) {
+  if (!has_feature_space()) {
     throw std::logic_error(
         "ClassificationEngine::PredictRow: no feature space");
   }
@@ -161,34 +169,15 @@ int ClassificationEngine::PredictRow(std::span<const double> row) const {
 }
 
 int ClassificationEngine::Classify(ts::SeriesView series) const {
-  if (!engine_.has_value()) return clf_->majority_label();
-  return clf_->feature_classifier()->Predict(engine_->Row(series));
+  return clf_->Classify(series);
 }
 
 std::vector<int> ClassificationEngine::ClassifyBatch(
     std::span<const ts::Series> batch, std::size_t num_threads) const {
-  if (!engine_.has_value()) {
-    return std::vector<int>(batch.size(), clf_->majority_label());
-  }
-  // Contexts are shared read-only and Predict is const, so the loop is
-  // deterministic for any thread count.
-  std::vector<int> out(batch.size(), 0);
-  ts::ParallelFor(batch.size(), num_threads, [&](std::size_t i) {
-    out[i] = clf_->feature_classifier()->Predict(engine_->Row(batch[i]));
-  });
-  return out;
-}
-
-std::vector<int> ClassificationEngine::ClassifyDataset(
-    const ts::Dataset& data, std::size_t num_threads) const {
-  if (!engine_.has_value()) {
-    return std::vector<int>(data.size(), clf_->majority_label());
-  }
-  std::vector<int> out(data.size(), 0);
-  ts::ParallelFor(data.size(), num_threads, [&](std::size_t i) {
-    out[i] = clf_->feature_classifier()->Predict(engine_->Row(data[i].values));
-  });
-  return out;
+  return ClassifyEach(*clf_, batch.size(), num_threads,
+                      [&](std::size_t i) -> const ts::Series& {
+                        return batch[i];
+                      });
 }
 
 void RpmClassifier::Save(std::ostream& out) const {
@@ -342,6 +331,18 @@ RpmClassifier RpmClassifier::Load(std::istream& in) {
         clf.options_.final_classifier, clf.options_.svm, clf.options_.knn_k);
     clf.feature_classifier_->Load(in);
     if (!in) fail("truncated classifier section");
+    // Every row the engine produces has one value per pattern; a
+    // classifier fitted on another width would read past it or past its
+    // own per-feature state on every Classify.
+    const std::size_t features = clf.feature_classifier_->num_features();
+    if (features != num_patterns) {
+      fail("feature classifier expects " + std::to_string(features) +
+           " features but the model has " + std::to_string(num_patterns) +
+           " patterns");
+    }
+    if (num_patterns > 0 && clf.feature_classifier_->trained()) {
+      clf.engine_.emplace(clf.patterns_);
+    }
   }
   clf.trained_ = true;
   return clf;

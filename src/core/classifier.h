@@ -73,12 +73,11 @@ class RpmClassifier {
   void Train(const ts::DatasetReader& archive,
              const TrainFromDiskOptions& disk = {});
 
-  /// Classifies one series.
+  /// Classifies one series through the model's warm engine.
   int Classify(ts::SeriesView series) const;
 
   /// Classifies every instance of `test` (labels in `test` are ignored).
-  /// Pattern contexts are built once and shared across the batch, and the
-  /// loop runs on `options.num_threads` pool workers; predictions are
+  /// The loop runs on `options.num_threads` pool workers; predictions are
   /// identical to per-series Classify calls for any thread count.
   std::vector<int> ClassifyAll(const ts::Dataset& test) const;
 
@@ -116,8 +115,12 @@ class RpmClassifier {
   /// Label predicted when no patterns were minable.
   int majority_label() const { return majority_label_; }
 
-  /// Transform configuration used at classification time.
-  TransformOptions classify_transform_options() const;
+  /// The transform over the learned patterns, built once by Train or
+  /// Load and shared by every Classify call; nullptr for the
+  /// majority-class fallback (and before Train).
+  const TransformEngine* engine() const {
+    return engine_.has_value() ? &*engine_ : nullptr;
+  }
 
   /// Stage timings and counts from the last Train call.
   const TrainingReport& report() const { return report_; }
@@ -130,7 +133,8 @@ class RpmClassifier {
 
   /// Restores a model written by Save. The returned classifier is ready
   /// to Classify without retraining. Throws std::runtime_error on
-  /// malformed input.
+  /// malformed input, including a feature classifier fitted on a
+  /// different number of features than the model has patterns.
   static RpmClassifier Load(std::istream& in);
   static RpmClassifier LoadFromFile(const std::string& path);
 
@@ -143,17 +147,17 @@ class RpmClassifier {
   std::size_t combos_evaluated_ = 0;
   TrainingReport report_;
   std::unique_ptr<ml::FeatureClassifier> feature_classifier_;
+  /// Engaged exactly when Classify goes through the feature classifier.
+  std::optional<TransformEngine> engine_;
 };
 
-/// Reusable request-oriented classification engine: the pattern-match
-/// contexts (one per representative pattern) are built once at
-/// construction and shared — read-only — across every request and worker
-/// thread, so repeated single-series classification skips the per-call
-/// context rebuild that Classify pays. This is the context-reuse hook the
-/// serving layer (src/serve) keeps warm between requests.
+/// Request-oriented view of a trained classifier: the serving queue,
+/// stream sessions and benches classify through it. It builds nothing;
+/// rows and labels come from the classifier's own warm engine
+/// (RpmClassifier::engine), so it is cheap to construct.
 ///
-/// Keeps pointers into `clf`: the classifier must outlive the engine and
-/// must not be retrained while the engine is alive.
+/// Keeps a pointer to `clf`: the classifier must outlive the engine and
+/// must not be retrained or moved while the engine is alive.
 class ClassificationEngine {
  public:
   explicit ClassificationEngine(const RpmClassifier& clf);
@@ -166,16 +170,12 @@ class ClassificationEngine {
   std::vector<int> ClassifyBatch(std::span<const ts::Series> batch,
                                  std::size_t num_threads = 1) const;
 
-  /// Dataset variant (labels in `data` are ignored).
-  std::vector<int> ClassifyDataset(const ts::Dataset& data,
-                                   std::size_t num_threads = 1) const;
-
   std::size_t num_patterns() const;
 
   /// False for a majority-class fallback model: no pattern space exists,
   /// Row/PredictRow must not be called and Classify returns the majority
   /// label unconditionally.
-  bool has_feature_space() const { return engine_.has_value(); }
+  bool has_feature_space() const { return clf_->engine() != nullptr; }
 
   /// The K-dim pattern-distance row of one series (the transform the
   /// feature classifier consumes). Requires has_feature_space(). Exposed
@@ -199,8 +199,6 @@ class ClassificationEngine {
 
  private:
   const RpmClassifier* clf_;
-  /// Engaged unless the classifier is a majority-class fallback.
-  std::optional<TransformEngine> engine_;
 };
 
 }  // namespace rpm::core

@@ -180,7 +180,7 @@ std::vector<RepresentativePattern> FindDistinctPatterns(
   // Transform the training data into candidate-distance features and let
   // CFS pick the discriminative subset.
   const std::vector<RepresentativePattern> all = AsPatterns(pruned);
-  const ml::FeatureDataset transformed = TransformDataset(all, train, false);
+  const ml::FeatureDataset transformed = TransformEngine(all).Apply(train);
   const std::vector<std::size_t> selected = ml::CfsSelect(transformed);
 
   std::vector<RepresentativePattern> out;

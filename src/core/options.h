@@ -65,7 +65,6 @@ struct RpmOptions {
   /// are trimmed for the synthetic suite's scale.
   std::size_t param_splits = 3;
   std::size_t param_folds = 3;
-  double param_train_fraction = 0.7;
   /// Objective-call budget for DIRECT per class (R in Section 5.3).
   std::size_t direct_max_evaluations = 24;
   /// Grid stride for kGrid (window dimension).

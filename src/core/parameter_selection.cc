@@ -34,6 +34,10 @@ SaxParamRange DefaultRange(const ts::Dataset& train) {
 
 namespace {
 
+// Share of the training set each random split trains on; the rest
+// validates the combo.
+constexpr double kParamTrainFraction = 0.7;
+
 // Clamps a raw integer triple into a valid SaxOptions.
 sax::SaxOptions MakeSax(int window, int paa, int alphabet,
                         const SaxParamRange& range) {
@@ -59,7 +63,7 @@ class ComboEvaluator {
     for (std::size_t s = 0; s < std::max<std::size_t>(1, options.param_splits);
          ++s) {
       splits_.push_back(
-          ml::SplitDataset(train, options.param_train_fraction, rng));
+          ml::SplitDataset(train, kParamTrainFraction, rng));
     }
   }
 
@@ -139,8 +143,7 @@ class ComboEvaluator {
         FindDistinctPatterns(sub_train, candidates, inner);
     if (patterns.empty()) return {};
 
-    const ml::FeatureDataset tv =
-        TransformDataset(patterns, validation, false);
+    const ml::FeatureDataset tv = TransformEngine(patterns).Apply(validation);
     if (tv.empty()) return {};
 
     // k-fold CV on the transformed validation data (Alg. 3 line 12).

@@ -26,34 +26,17 @@ double ShrunkPatternDistance(const ts::Series& pattern,
 
 }  // namespace
 
-double PatternDistance(const ts::Series& pattern, ts::SeriesView series) {
-  if (pattern.empty() || series.empty()) return 0.0;
-  if (pattern.size() <= series.size()) {
-    return distance::FindBestMatch(pattern, series).distance;
-  }
-  return ShrunkPatternDistance(pattern, series);
-}
-
-double PatternDistanceRotationInvariant(const ts::Series& pattern,
-                                        ts::SeriesView series) {
-  const double direct = PatternDistance(pattern, series);
-  const ts::Series rotated = ts::RotateAtMidpoint(series);
-  return std::min(direct, PatternDistance(pattern, rotated));
-}
-
 TransformEngine::TransformEngine(
-    const std::vector<RepresentativePattern>& patterns,
-    const TransformOptions& options)
-    : patterns_(&patterns), options_(options) {
+    const std::vector<RepresentativePattern>& patterns) {
   for (const auto& p : patterns) matcher_.Add(p.values);
 }
 
 double TransformEngine::ResolveMatch(std::size_t i,
                                      const distance::BestMatch& match,
                                      ts::SeriesView series) const {
-  // Same case order as PatternDistance: the store answers only the
-  // in-range scans; the degenerate cells keep the per-call semantics.
-  const ts::Series& pattern = (*patterns_)[i].values;
+  // The store answers only the in-range scans; an empty pattern or
+  // series reads 0 and a pattern longer than the series is shrunk.
+  const ts::Series& pattern = matcher_.pattern(i).values;
   if (pattern.empty() || series.empty()) return 0.0;
   if (pattern.size() > series.size()) {
     return ShrunkPatternDistance(pattern, series);
@@ -62,19 +45,20 @@ double TransformEngine::ResolveMatch(std::size_t i,
   return match.distance;
 }
 
-std::vector<double> TransformEngine::Row(ts::SeriesView series) const {
+std::vector<double> TransformEngine::Row(ts::SeriesView series,
+                                         bool rotation_invariant) const {
   TransformScratch scratch;
   std::vector<double> row;
-  RowInto(series, &scratch, &row);
+  RowInto(series, rotation_invariant, &scratch, &row);
   return row;
 }
 
-void TransformEngine::RowInto(ts::SeriesView series, TransformScratch* scratch,
+void TransformEngine::RowInto(ts::SeriesView series, bool rotate,
+                              TransformScratch* scratch,
                               std::vector<double>* row) const {
-  const std::size_t k = patterns_->size();
+  const std::size_t k = matcher_.size();
   row->clear();
   row->reserve(k);
-  const bool rotate = options_.rotation_invariant;
   scratch->ctx.Assign(series);
   if (rotate) {
     scratch->rotated = ts::RotateAtMidpoint(series);
@@ -96,47 +80,20 @@ void TransformEngine::RowInto(ts::SeriesView series, TransformScratch* scratch,
   }
 }
 
-ml::FeatureDataset TransformEngine::Apply(const ts::Dataset& data) const {
+ml::FeatureDataset TransformEngine::Apply(const ts::Dataset& data,
+                                          std::size_t num_threads) const {
   ScopedPhaseTimer timer(PhaseProfile::kTransform);
   ml::FeatureDataset out;
   out.x.resize(data.size());
   out.y.resize(data.size());
-  ts::ParallelFor(data.size(), options_.num_threads, [&](std::size_t i) {
+  ts::ParallelFor(data.size(), num_threads, [&](std::size_t i) {
     // Warm per-worker buffers: pool threads persist across Apply calls,
     // so steady-state transforms allocate only the output rows.
     static thread_local TransformScratch scratch;
-    RowInto(data[i].values, &scratch, &out.x[i]);
+    RowInto(data[i].values, false, &scratch, &out.x[i]);
     out.y[i] = data[i].label;
   });
   return out;
-}
-
-std::vector<double> TransformSeries(
-    const std::vector<RepresentativePattern>& patterns,
-    ts::SeriesView series, const TransformOptions& options) {
-  return TransformEngine(patterns, options).Row(series);
-}
-
-ml::FeatureDataset TransformDataset(
-    const std::vector<RepresentativePattern>& patterns,
-    const ts::Dataset& data, const TransformOptions& options) {
-  return TransformEngine(patterns, options).Apply(data);
-}
-
-std::vector<double> TransformSeries(
-    const std::vector<RepresentativePattern>& patterns,
-    ts::SeriesView series, bool rotation_invariant) {
-  TransformOptions options;
-  options.rotation_invariant = rotation_invariant;
-  return TransformSeries(patterns, series, options);
-}
-
-ml::FeatureDataset TransformDataset(
-    const std::vector<RepresentativePattern>& patterns,
-    const ts::Dataset& data, bool rotation_invariant) {
-  TransformOptions options;
-  options.rotation_invariant = rotation_invariant;
-  return TransformDataset(patterns, data, options);
 }
 
 std::vector<RepresentativePattern> AsPatterns(

@@ -24,6 +24,8 @@ class FeatureClassifier {
   virtual void Train(const FeatureDataset& data) = 0;
   virtual int Predict(std::span<const double> features) const = 0;
   virtual bool trained() const = 0;
+  /// Width of the rows the trained state was fitted on (0 before Train).
+  virtual std::size_t num_features() const = 0;
   /// Text serialization of the trained state (model persistence).
   virtual void Save(std::ostream& out) const = 0;
   virtual void Load(std::istream& in) = 0;
@@ -37,6 +39,7 @@ class KnnFeatureClassifier : public FeatureClassifier {
   void Train(const FeatureDataset& data) override;
   int Predict(std::span<const double> features) const override;
   bool trained() const override { return !data_.empty(); }
+  std::size_t num_features() const override { return data_.num_features(); }
   void Save(std::ostream& out) const override;
   void Load(std::istream& in) override;
 
@@ -52,6 +55,9 @@ class GaussianNaiveBayes : public FeatureClassifier {
   void Train(const FeatureDataset& data) override;
   int Predict(std::span<const double> features) const override;
   bool trained() const override { return !classes_.empty(); }
+  std::size_t num_features() const override {
+    return classes_.empty() ? 0 : classes_.front().mean.size();
+  }
   void Save(std::ostream& out) const override;
   void Load(std::istream& in) override;
 
@@ -74,6 +80,7 @@ class SvmFeatureClassifier : public FeatureClassifier {
     return svm_.Predict(features);
   }
   bool trained() const override { return svm_.trained(); }
+  std::size_t num_features() const override { return svm_.num_features(); }
   void Save(std::ostream& out) const override { svm_.Save(out); }
   void Load(std::istream& in) override { svm_.Load(in); }
 

@@ -53,6 +53,9 @@ class SvmClassifier {
 
   bool trained() const { return trained_; }
 
+  /// Width of the rows the model was fitted on (its feature moments).
+  std::size_t num_features() const { return feature_mean_.size(); }
+
   /// Writes the trained model (options, moments, support vectors) as
   /// line-oriented text. Requires trained().
   void Save(std::ostream& out) const;

@@ -1,14 +1,11 @@
 // Unified metric registry: named counters, gauges, and fixed-bucket
 // histograms with lock-free recording.
 //
-// Instrumentation was previously fragmented — training had its own
-// phase counters (core/phase_profile), the server bespoke histograms
-// (serve/server_stats), streaming bolted counters onto both — with no
-// single machine-readable view across serve -> stream -> matcher. This
-// registry is that view: every subsystem registers its cells here, and
+// The serve, stream and matcher layers register their cells here, and
 // one Snapshot() feeds both the STATS JSON facade and the Prometheus
 // text expositor (obs/exposition.h), so the two can never disagree
-// about what happened.
+// about what happened. Training phase timers are not here yet: they are
+// still core/phase_profile's own process-wide accumulators.
 //
 // Cost model:
 //  * Recording (Counter::Increment, Gauge::Set/Add, Histogram::Record)

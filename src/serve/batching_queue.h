@@ -67,7 +67,8 @@ inline constexpr std::size_t kMaxBatchSize = 32;
 struct BatchingOptions {
   /// Queued requests beyond which submissions are shed (kOverloaded).
   std::size_t max_queue_depth = 1024;
-  /// Pool workers per batch dispatch (0 = hardware concurrency).
+  /// Pool workers per batch dispatch (0 = ts::DefaultThreads(), the
+  /// CPUs in the calling thread's affinity mask).
   std::size_t num_threads = 0;
 };
 

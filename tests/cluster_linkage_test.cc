@@ -117,17 +117,6 @@ TEST(IterativeSplitMatrix, GroupsMatchMatrixFreeApi) {
   }
 }
 
-TEST(IterativeSplitMatrix, ThreadedMatrixIsIdentical) {
-  const auto items = RandomItems(60, 6, 21, 4.0);
-  const std::vector<double> seq = PairwiseDistanceMatrix(items, 1);
-  const std::vector<double> par = PairwiseDistanceMatrix(items, 8);
-  EXPECT_EQ(seq, par);
-  SplitOptions opt;
-  opt.num_threads = 8;
-  SplitOptions seq_opt;
-  EXPECT_EQ(IterativeSplit(items, opt), IterativeSplit(items, seq_opt));
-}
-
 TEST(IterativeSplitMatrix, ConcurrentSplitsOnPoolAreIndependent) {
   // Many IterativeSplit calls in flight on the shared pool (the shape of
   // per-motif refinement inside candidate mining) must not interfere.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 
 #include "core/rpm.h"
 #include "ts/generators.h"
@@ -175,7 +176,7 @@ TEST(Transform, FeatureRowShapeAndSeparability) {
   const auto patterns =
       FindDistinctPatterns(train, FindAllCandidates(train, sax, opt), opt);
   ASSERT_FALSE(patterns.empty());
-  const ml::FeatureDataset f = TransformDataset(patterns, train, false);
+  const ml::FeatureDataset f = TransformEngine(patterns).Apply(train);
   EXPECT_EQ(f.size(), train.size());
   EXPECT_EQ(f.num_features(), patterns.size());
   for (const auto& row : f.x) {
@@ -194,7 +195,7 @@ TEST(Transform, PatternLongerThanSeriesHandled) {
   }
   ts::ZNormalizeInPlace(patterns[0].values);
   const ts::Series series = {1.0, 2.0, 1.0, 0.0, 1.0};
-  const auto row = TransformSeries(patterns, series, false);
+  const auto row = TransformEngine(patterns).Row(series);
   ASSERT_EQ(row.size(), 1u);
   EXPECT_TRUE(std::isfinite(row[0]));
 }
@@ -207,11 +208,36 @@ TEST(Transform, RotationInvariantNeverWorse) {
   patterns[0].values = ts::Series(
       train[0].values.begin(), train[0].values.begin() + 30);
   ts::ZNormalizeInPlace(patterns[0].values);
+  const TransformEngine engine(patterns);
   for (const auto& inst : train) {
-    const double plain = PatternDistance(patterns[0].values, inst.values);
-    const double rot =
-        PatternDistanceRotationInvariant(patterns[0].values, inst.values);
+    const double plain = engine.Row(inst.values)[0];
+    const double rot = engine.Row(inst.values, true)[0];
     EXPECT_LE(rot, plain + 1e-12);
+  }
+}
+
+TEST(Transform, EngineOutlivesItsPatternVector) {
+  // The engine copies the patterns: built from a temporary vector, it
+  // must answer after the vector is gone, and again once moved.
+  const ts::Dataset train = PlantedMotifs(4, 150, 15);
+  auto cut = [&] {
+    std::vector<RepresentativePattern> patterns(3);
+    for (std::size_t k = 0; k < 3; ++k) {
+      const ts::Series& v = train[k].values;
+      patterns[k].values.assign(v.begin() + 10 * k, v.begin() + 30 + 15 * k);
+      ts::ZNormalizeInPlace(patterns[k].values);
+    }
+    return patterns;
+  };
+  const std::vector<RepresentativePattern> kept = cut();
+  const TransformEngine reference(kept);
+  const ml::FeatureDataset expected = reference.Apply(train);
+  TransformEngine engine(cut());
+  EXPECT_EQ(engine.Apply(train).x, expected.x);
+  const TransformEngine moved(std::move(engine));
+  EXPECT_EQ(moved.Apply(train).x, expected.x);
+  for (const auto& inst : train) {
+    EXPECT_EQ(moved.Row(inst.values, true), reference.Row(inst.values, true));
   }
 }
 
@@ -247,6 +273,64 @@ TEST(Classifier, DegenerateDataFallsBackToMajority) {
   RpmClassifier clf(opt);
   clf.Train(train);
   EXPECT_EQ(clf.Classify(ts::Series(40, 0.5)), 3);
+}
+
+// Trains `opt` on `train`; the trained model and its saved-and-loaded
+// copy, each moved into a new object, must label `test` as the trained
+// model did before the move, through Classify, ClassifyAll and a
+// ClassificationEngine. Returns whether the model has an engine.
+bool MovedModelsAgree(const RpmOptions& opt, const ts::Dataset& train,
+                      const ts::Dataset& test) {
+  RpmClassifier trained(opt);
+  trained.Train(train);
+  const std::vector<int> expected = trained.ClassifyAll(test);
+  const bool has_engine = trained.engine() != nullptr;
+  std::stringstream saved;
+  trained.Save(saved);
+  std::vector<RpmClassifier> moved;
+  moved.push_back(std::move(trained));
+  moved.push_back(RpmClassifier::Load(saved));
+  std::vector<ts::Series> batch;
+  for (const auto& inst : test) batch.push_back(inst.values);
+  for (const RpmClassifier& clf : moved) {
+    EXPECT_EQ(clf.engine() != nullptr, has_engine);
+    const ClassificationEngine engine(clf);
+    for (std::size_t i = 0; i < test.size(); ++i) {
+      EXPECT_EQ(clf.Classify(test[i].values), expected[i]);
+      EXPECT_EQ(engine.Classify(test[i].values), expected[i]);
+    }
+    EXPECT_EQ(clf.ClassifyAll(test), expected);
+    EXPECT_EQ(engine.ClassifyBatch(batch, 4), expected);
+  }
+  return has_engine;
+}
+
+TEST(Classifier, MovedSvmModelsClassifyThroughTheirEngine) {
+  EXPECT_TRUE(MovedModelsAgree(FastOptions(), PlantedMotifs(8, 150, 16),
+                               PlantedMotifs(6, 150, 17)));
+}
+
+TEST(Classifier, MovedRotationInvariantModelsClassifyThroughTheirEngine) {
+  RpmOptions opt = FastOptions();
+  opt.rotation_invariant = true;
+  ts::Dataset rotated;
+  for (const auto& inst : PlantedMotifs(6, 150, 19)) {
+    rotated.Add(inst.label, ts::RotateAtMidpoint(inst.values));
+  }
+  EXPECT_TRUE(MovedModelsAgree(opt, PlantedMotifs(8, 150, 18), rotated));
+}
+
+TEST(Classifier, MovedMajorityModelsKeepTheFallback) {
+  // Series shorter than the SAX window yield no candidates, so the model
+  // is the majority-class fallback.
+  ts::Rng rng(20);
+  ts::Dataset train;
+  for (int label : {1, 2, 2, 1, 2}) {
+    ts::Series s(16);
+    for (auto& v : s) v = rng.Gaussian();
+    train.Add(label, std::move(s));
+  }
+  EXPECT_FALSE(MovedModelsAgree(FastOptions(), train, train));
 }
 
 TEST(Classifier, PerClassSaxRecorded) {

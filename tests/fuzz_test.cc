@@ -486,6 +486,45 @@ TEST(LoaderHardeningTest, RpmModelZeroLengthPatternRejected) {
   EXPECT_THROW(core::RpmClassifier::Load(in), std::runtime_error);
 }
 
+// Load must reject the fixture model with its first pattern row deleted
+// (`grow` false) or duplicated (true) and the "patterns" count adjusted
+// to match, naming both counts: its SVM was fitted on the old count.
+void ExpectPatternCountMismatchRejected(bool grow) {
+  std::string text = Harness().model_text();
+  const std::size_t head = text.find("\npatterns ") + 1;
+  const std::size_t row = text.find('\n', head) + 1;
+  const std::size_t next = text.find('\n', row) + 1;
+  const std::size_t count = std::stoul(text.substr(head + 9));
+  const std::size_t patterns = grow ? count + 1 : count - 1;
+  const std::string header = "patterns " + std::to_string(patterns) + "\n";
+  if (grow) {
+    text.replace(head, row - head, header + text.substr(row, next - row));
+  } else {
+    text.replace(head, next - head, header);
+  }
+  const std::string expect = "expects " + std::to_string(count) +
+                             " features but the model has " +
+                             std::to_string(patterns) + " patterns";
+  std::istringstream in(text);
+  try {
+    core::RpmClassifier::Load(in);
+    ADD_FAILURE() << "loaded a model that " << expect;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(expect), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(LoaderHardeningTest, RpmModelMissingPatternRowRejected) {
+  // The SVM's support vectors are one value wider than every row.
+  ExpectPatternCountMismatchRejected(false);
+}
+
+TEST(LoaderHardeningTest, RpmModelDuplicatedPatternRowRejected) {
+  // Every row is one value wider than the SVM's feature moments.
+  ExpectPatternCountMismatchRejected(true);
+}
+
 TEST(LoaderHardeningTest, MutatedFixtureNeverCrashesLoad) {
   // Direct mutation loop against Load without the harness wrapper, so a
   // failure pinpoints the loader rather than the scheduler.

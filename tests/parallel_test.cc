@@ -102,10 +102,9 @@ TEST(ParallelDeterminism, TransformBitIdenticalAcrossThreadCounts) {
     patterns.push_back(std::move(p));
   }
 
+  const core::TransformEngine engine(patterns);
   auto run = [&](std::size_t threads) {
-    core::TransformOptions opt;
-    opt.num_threads = threads;
-    return core::TransformDataset(patterns, split.train, opt);
+    return engine.Apply(split.train, threads);
   };
   const ml::FeatureDataset base = run(1);
   for (std::size_t threads : {2u, 8u}) {
