@@ -1,15 +1,17 @@
 // Serving-layer benchmark: sequential in-process Classify calls on the
 // trained model (whose pattern contexts are built once, in Train) vs the
-// batched inference server, single-stream and with 16 concurrent
+// inference server's Classify, single-stream and with 16 concurrent
 // clients. Writes BENCH_serve.json with throughput and p50/p99 latency
 // per mode, and BENCH_serve_metrics.json with the METRICS scrape taken
 // at the end of the run (observability — tracing at the rpm_serve
 // default 1/16 sampling — stays enabled throughout, so the bench
 // numbers measure the instrumented configuration).
 //
-// Both sides reuse the same warm contexts, so what separates them is the
-// server's queueing and micro-batching: on multi-core hosts batch
-// dispatch spreads rows across the thread pool.
+// Both sides reuse the same warm contexts. The server scores each
+// request on its caller's thread, so single-stream measures the
+// server's per-request overhead (registry lookup, deadline check,
+// metrics, sampled span) and 16 clients measure how the shared model
+// scales across the host's cores.
 
 #include <algorithm>
 #include <chrono>
@@ -74,7 +76,7 @@ ModeResult RunPerRequest(const rpm::core::RpmClassifier& clf,
   return result;
 }
 
-// Blocking clients driving the server concurrently; `clients == 1` is the
+// Client threads calling the server concurrently; `clients == 1` is the
 // single-stream serve mode.
 ModeResult RunServeClients(rpm::serve::InferenceServer& server,
                            const rpm::ts::Dataset& requests,
@@ -221,7 +223,6 @@ int main() {
   PrintMode(per_request);
 
   rpm::serve::ServerOptions server_options;
-  server_options.batching.max_queue_depth = 1024;
   server_options.default_timeout = std::chrono::seconds(120);
 
   ModeResult single_stream;

@@ -8,18 +8,19 @@
 //
 // Usage:
 //   rpm_serve [--port N | --unix PATH] [--model NAME=PATH ...]
-//             [--shards N] [--queue N] [--threads N] [--timeout-ms N]
-//             [--trace-sample N]
+//             [--shards N] [--timeout-ms N] [--trace-sample N]
 //
-// Numeric values are whole base-10 integers: --port 0..65535; --shards,
-// --queue and --timeout-ms at least 1; --threads and --trace-sample at
-// least 0 (--timeout-ms and --trace-sample at most 2^32 - 1). Anything
-// else prints the usage and exits with status 2.
+// Numeric values are whole base-10 integers: --port 0..65535; --shards
+// and --timeout-ms at least 1; --trace-sample at least 0 (--timeout-ms
+// and --trace-sample at most 2^32 - 1). Anything else prints the usage
+// and exits with status 2.
 //
-// --shards N runs N reactor shards, each owning its own batching queue
-// and stream-session map; stream sessions opened on a connection live
-// on that connection's shard, so the hot feed path takes no cross-shard
-// locks. Default 1 (single reactor).
+// --shards N runs N reactor shards. Each request runs to completion on
+// its connection's shard, CLASSIFY included, and each shard owns its
+// own stream-session map: sessions opened on a connection live on that
+// connection's shard, so the hot feed path takes no cross-shard locks.
+// Default 1 (single reactor). --timeout-ms is the CLASSIFY deadline for
+// requests that carry none, counted from when the request was read.
 //
 // Observability: the METRICS verb returns the Prometheus exposition of
 // every serve/stream/matcher/net metric, including the per-shard
@@ -61,8 +62,7 @@ void OnSignal(int) { g_stop = 1; }
   std::fprintf(stderr,
                "usage: rpm_serve [--port N | --unix PATH] "
                "[--model NAME=PATH ...]\n"
-               "                 [--shards N] [--queue N] [--threads N] "
-               "[--timeout-ms N]\n"
+               "                 [--shards N] [--timeout-ms N]\n"
                "                 [--trace-sample N]   (record 1/N spans; "
                "0 disables tracing; default 16)\n");
   std::exit(2);
@@ -113,12 +113,6 @@ ServeCliOptions ParseArgs(int argc, char** argv) {
     } else if (arg == "--shards") {
       cli.server.num_shards =
           static_cast<std::size_t>(ParseInt(need(i++), 1, kNoMax));
-    } else if (arg == "--queue") {
-      cli.server.batching.max_queue_depth =
-          static_cast<std::size_t>(ParseInt(need(i++), 1, kNoMax));
-    } else if (arg == "--threads") {
-      cli.server.batching.num_threads =
-          static_cast<std::size_t>(ParseInt(need(i++), 0, kNoMax));
     } else if (arg == "--timeout-ms") {
       cli.server.default_timeout =
           std::chrono::milliseconds(ParseInt(need(i++), 1, kU32Max));
@@ -179,9 +173,9 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
 
-  // Graceful drain: each shard flushes and closes its own connections
-  // (front end), then drains its own queue and sessions (server), so
-  // every admitted request completes and no session closes twice.
+  // Graceful stop: each shard answers what it has read, flushes and
+  // closes its own connections (front end); then every shard's sessions
+  // close (server), so no session closes twice.
   front_end.Stop();
   server.Shutdown();
   std::fprintf(stderr, "[rpm_serve] final stats: %s\n",

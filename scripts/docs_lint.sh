@@ -14,7 +14,9 @@
 # docs: every verb in the wire table must have a production in the fuzz
 # grammar (section 4), so protocol growth can't silently escape fuzzing.
 # Section 7 checks that every RpmOptions::<name> the docs cite is a
-# member of the struct.
+# member of the struct. Section 8 runs check 2 in reverse: every metric
+# and span docs/OBSERVABILITY.md names must still be registered in the
+# sources, so a deleted one cannot linger in the docs.
 #
 # Run from the repo root (ctest sets WORKING_DIRECTORY accordingly):
 #   scripts/docs_lint.sh
@@ -162,6 +164,28 @@ for ref in $opt_refs; do
   name=${ref##*RpmOptions::}
   if ! echo "$opt_members" | grep -qx "$name"; then
     echo "docs_lint: ${ref%%:RpmOptions::*}: RpmOptions::${name} is not a member declared in ${opt_header}"
+    fail=1
+  fi
+done
+
+# --- 8. documented metrics and spans exist ----------------------------
+# Histogram series carry _count/_sum/_bucket suffixes in the exposition
+# excerpts; the family name is what the sources register. Spans are
+# the backticked names under a subsystem that records spans.
+doc_metrics=$(grep -oE 'rpm_(serve|stream|matcher|net)_[a-z_]+' \
+                docs/OBSERVABILITY.md |
+              sed -E 's/_(count|sum|bucket)$//' | sort -u)
+for metric in $doc_metrics; do
+  if ! echo "$metrics" | grep -qx "${metric}"; then
+    echo "docs_lint: docs/OBSERVABILITY.md names metric ${metric}, which no source under src/ registers"
+    fail=1
+  fi
+done
+doc_spans=$(grep -oE '`(serve|stream|matcher|net|train)\.[a-z_]+`' \
+              docs/OBSERVABILITY.md | tr -d '`' | sort -u)
+for span in $doc_spans; do
+  if ! echo "$spans" | grep -qx "${span}"; then
+    echo "docs_lint: docs/OBSERVABILITY.md names span ${span}, which no source under src/ records"
     fail=1
   fi
 done

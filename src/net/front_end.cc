@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fcntl.h>
-#include <map>
+#include <unordered_map>
 #include <utility>
 
 namespace rpm::net {
@@ -35,9 +35,9 @@ struct FrontEnd::Shard {
 // ---- connection ------------------------------------------------------
 
 struct FrontEnd::Conn : std::enable_shared_from_this<FrontEnd::Conn> {
-  Conn(FrontEnd* fe, std::shared_ptr<Shard> shard, int fd)
+  Conn(FrontEnd* fe, Shard* shard, int fd)
       : fe(fe),
-        shard(std::move(shard)),
+        shard(shard),
         fd(fd),
         lines(fe->options_.max_line),
         frames(fe->options_.max_frame_payload) {}
@@ -46,12 +46,7 @@ struct FrontEnd::Conn : std::enable_shared_from_this<FrontEnd::Conn> {
   }
 
   FrontEnd* fe;
-  // shared_ptr: a Respond closure held by the server's batching queues
-  // keeps the shard (and its EventLoop) alive through `self` even if
-  // the FrontEnd is destroyed first. The Conn<->Shard cycle is broken
-  // by CloseNow (conns.erase + loop.Remove), which runs for every
-  // connection during Stop().
-  std::shared_ptr<Shard> shard;
+  Shard* shard;
   int fd;
   enum class Codec { kSniff, kText, kBinary };
   Codec codec = Codec::kSniff;
@@ -62,12 +57,8 @@ struct FrontEnd::Conn : std::enable_shared_from_this<FrontEnd::Conn> {
   bool want_write = false;
   bool paused_read = false;
   bool read_eof = false;  // peer half-closed; no more requests can arrive
-  bool pumping = false;   // Pump() mid-drain: requests still unassigned
   bool closing = false;   // close once `out` has flushed
   bool open = true;
-  std::uint64_t next_req = 0;   // next request sequence to assign
-  std::uint64_t next_resp = 0;  // next response sequence to send
-  std::map<std::uint64_t, Response> held;  // out-of-order responses
 
   void HandleEvents(std::uint32_t events) {
     if (events & (EPOLLERR | EPOLLHUP)) {
@@ -81,6 +72,8 @@ struct FrontEnd::Conn : std::enable_shared_from_this<FrontEnd::Conn> {
 
   void DoRead() {
     if (!open || read_eof) return;
+    const RequestHandler::Clock::time_point read_at =
+        RequestHandler::Clock::now();
     char buf[16384];
     for (;;) {
       const ssize_t n = ::read(fd, buf, sizeof(buf));
@@ -101,8 +94,13 @@ struct FrontEnd::Conn : std::enable_shared_from_this<FrontEnd::Conn> {
       CloseNow();
       return;
     }
-    Pump();
-    MaybeCloseAfterEof();
+    Pump(read_at);
+    if (read_eof) closing = true;
+    Flush();
+    if (open && !paused_read && out.size() > fe->options_.max_out_buffer) {
+      paused_read = true;
+      UpdateInterest();
+    }
   }
 
   // Codec negotiation: binary clients lead with "RPMB"; anything else
@@ -143,115 +141,60 @@ struct FrontEnd::Conn : std::enable_shared_from_this<FrontEnd::Conn> {
     }
   }
 
-  void Pump() {
-    pumping = true;
+  // Answers every complete request the assembler holds, in order, up to
+  // a response that closes the connection. Sniff state: nothing to pump
+  // until the codec is decided.
+  void Pump(RequestHandler::Clock::time_point read_at) {
     if (codec == Codec::kText) {
       std::string line;
-      while (open && !closing) {
+      while (!closing) {
         const auto status = lines.NextLine(&line);
         if (status == LineAssembler::LineStatus::kNone) break;
-        const std::uint64_t seq = next_req++;
         if (status == LineAssembler::LineStatus::kOversized) {
           shard->protocol_errors->Increment();
-          Deliver(seq,
-                  Response{"ERR BAD_REQUEST line exceeds " +
-                               std::to_string(lines.max_line()) + " bytes",
-                           false});
-          continue;
+          Append({"ERR BAD_REQUEST line exceeds " +
+                      std::to_string(lines.max_line()) + " bytes",
+                  false});
+        } else {
+          shard->text_requests->Increment();
+          Append(fe->handler_->OnTextLine(shard->index, line, read_at));
         }
-        shard->text_requests->Increment();
-        fe->handler_->OnTextLine(shard->index, line, MakeRespond(seq));
       }
     } else if (codec == Codec::kBinary) {
+      const auto error = [&](std::uint8_t verb, const std::string& detail,
+                             bool close) {
+        shard->protocol_errors->Increment();
+        Append({EncodeFrame(verb, std::uint8_t(WireStatus::kBadRequest),
+                            detail),
+                close});
+      };
       Frame frame;
-      while (open && !closing) {
+      while (!closing) {
         const auto status = frames.Next(&frame);
         if (status == FrameAssembler::FrameStatus::kNone) break;
-        const std::uint64_t seq = next_req++;
         if (status == FrameAssembler::FrameStatus::kOversized) {
-          shard->protocol_errors->Increment();
-          Deliver(seq, Response{EncodeFrame(
-                                    0, std::uint8_t(WireStatus::kBadRequest),
-                                    "frame exceeds " +
-                                        std::to_string(frames.max_payload()) +
-                                        " payload bytes"),
-                                false});
-          continue;
+          error(0,
+                "frame exceeds " + std::to_string(frames.max_payload()) +
+                    " payload bytes",
+                false);
+        } else if (status == FrameAssembler::FrameStatus::kCorrupt) {
+          error(0, "corrupt frame: cannot resynchronize", true);
+        } else if (frame.status != 0) {
+          error(frame.verb, "nonzero status in request", true);
+        } else {
+          shard->binary_requests->Increment();
+          Append(fe->handler_->OnFrame(shard->index, frame, read_at));
         }
-        if (status == FrameAssembler::FrameStatus::kCorrupt) {
-          shard->protocol_errors->Increment();
-          Deliver(seq, Response{EncodeFrame(
-                                    0, std::uint8_t(WireStatus::kBadRequest),
-                                    "corrupt frame: cannot resynchronize"),
-                                true});
-          break;
-        }
-        if (frame.status != 0) {
-          shard->protocol_errors->Increment();
-          Deliver(seq,
-                  Response{EncodeFrame(frame.verb,
-                                       std::uint8_t(WireStatus::kBadRequest),
-                                       "nonzero status in request"),
-                           true});
-          break;
-        }
-        shard->binary_requests->Increment();
-        fe->handler_->OnFrame(shard->index, frame, MakeRespond(seq));
       }
     }
-    // Sniff state: nothing to pump until the codec is decided.
-    pumping = false;
   }
 
-  RequestHandler::Respond MakeRespond(std::uint64_t seq) {
-    // `self` keeps the Conn alive and, through Conn::shard, the shard's
-    // EventLoop: a response arriving after FrontEnd destruction posts
-    // onto a stopped-but-live loop (where it is destroyed unrun) rather
-    // than dereferencing freed memory.
-    auto self = shared_from_this();
-    return [self, seq](Response r) {
-      self->shard->loop.PostOrRun([self, seq, r = std::move(r)]() mutable {
-        self->Deliver(seq, std::move(r));
-      });
-    };
-  }
-
-  // Responses can finish out of order (async CLASSIFY vs. sync verbs);
-  // hold them until every earlier sequence has been written so the wire
-  // order always matches the request order.
-  void Deliver(std::uint64_t seq, Response r) {
-    if (!open) return;
-    held.emplace(seq, std::move(r));
-    while (!held.empty() && held.begin()->first == next_resp) {
-      Response resp = std::move(held.begin()->second);
-      held.erase(held.begin());
-      ++next_resp;
-      out += resp.bytes;
-      if (codec != Codec::kBinary) out += '\n';
-      if (resp.close) closing = true;
-    }
-    Flush();
-    if (!open) return;
-    MaybeCloseAfterEof();
-    if (!open) return;
-    if (!paused_read && out.size() > fe->options_.max_out_buffer) {
-      paused_read = true;
-      UpdateInterest();
-    }
-  }
-
-  // After read-EOF nothing further can arrive: once every parsed
-  // request has been answered (next_resp caught up with next_req),
-  // flush and close. Requests still in flight (batched CLASSIFY) keep
-  // the connection open until their Deliver lands. Never fires from an
-  // inline Deliver inside Pump(): mid-drain, next_resp can equal
-  // next_req while later requests still sit unassigned in the
-  // assembler — DoRead re-checks once Pump() has drained everything.
-  void MaybeCloseAfterEof() {
-    if (!open || !read_eof || closing || pumping) return;
-    if (next_resp != next_req) return;
-    closing = true;
-    Flush();
+  // Responses are produced in request order on this thread, so queueing
+  // one is an append; DoRead flushes once the read's requests are done.
+  void Append(const Response& r) {
+    out += r.bytes;
+    if (codec != Codec::kBinary) out += '\n';
+    if (r.close) closing = true;
   }
 
   void Flush() {
@@ -378,7 +321,7 @@ bool FrontEnd::Start() {
       options_.metrics != nullptr ? options_.metrics : &fallback_registry;
 
   for (std::size_t i = 0; i < num_shards; ++i) {
-    auto shard = std::make_shared<Shard>();
+    auto shard = std::make_unique<Shard>();
     shard->index = i;
     if (!shard->loop.ok()) {
       std::fprintf(stderr, "[net] cannot create event loop (shard %zu)\n", i);
@@ -483,10 +426,9 @@ void FrontEnd::AcceptReady() {
 }
 
 void FrontEnd::AdoptConnection(int fd, std::uint64_t key) {
-  const std::shared_ptr<Shard>& shard_ptr = shards_[ring_.PickHash(key)];
-  Shard* shard = shard_ptr.get();
-  shard->loop.PostOrRun([this, shard_ptr, shard, fd] {
-    auto conn = std::make_shared<Conn>(this, shard_ptr, fd);
+  Shard* shard = shards_[ring_.PickHash(key)].get();
+  shard->loop.PostOrRun([this, shard, fd] {
+    auto conn = std::make_shared<Conn>(this, shard, fd);
     const bool added =
         shard->loop.Add(fd, EPOLLIN | EPOLLET | EPOLLRDHUP,
                         [conn](std::uint32_t events) {
@@ -509,8 +451,8 @@ void FrontEnd::AdoptConnection(int fd, std::uint64_t key) {
 
 void FrontEnd::Stop() {
   if (!started_ || stopped_.exchange(true)) return;
-  for (auto& shard_ptr : shards_) {
-    Shard* shard = shard_ptr.get();
+  for (auto& owned : shards_) {
+    Shard* shard = owned.get();
     shard->loop.Post([this, shard] {
       if (shard->index == 0 && listen_fd_ >= 0) {
         shard->loop.Remove(listen_fd_);

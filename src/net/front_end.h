@@ -10,17 +10,17 @@
 //
 // Each connection speaks either the newline text protocol or the
 // length-prefixed binary framing (net/frame.h), chosen once by the
-// first bytes it sends ("RPMB" magic selects binary). Requests are
-// passed to a RequestHandler; responses may be produced synchronously
-// or asynchronously (the micro-batched CLASSIFY path answers from the
-// dispatcher thread) and are re-sequenced per connection so the wire
-// order always matches the request order.
+// first bytes it sends ("RPMB" magic selects binary). Each request is
+// passed to a RequestHandler, which answers it on the shard's thread
+// before returning, so responses are produced in request order and the
+// wire order always matches it.
 //
-// Write path: responses append to a per-connection buffer flushed
-// opportunistically; EPOLLOUT interest is enabled only while the buffer
-// is non-empty. Backpressure: past max_out_buffer the connection stops
-// reading (EPOLLIN dropped) until the buffer drains below half — a slow
-// reader throttles itself, never the shard.
+// Write path: the responses to everything one read brought in are
+// appended to a per-connection buffer, which is then flushed once;
+// EPOLLOUT interest is enabled only while the buffer is non-empty.
+// Backpressure: past max_out_buffer the connection stops reading
+// (EPOLLIN dropped) until the buffer drains below half — a slow reader
+// throttles itself, never the shard.
 //
 // The front end is protocol-policy-free: serve::NetHandler supplies the
 // actual verb semantics, keeping net below serve in the layering.
@@ -29,8 +29,8 @@
 #define RPM_NET_FRONT_END_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -53,17 +53,16 @@ struct Response {
 };
 
 /// Protocol semantics, supplied by the serving layer. Both hooks run on
-/// the connection's shard loop thread; `respond` must be called exactly
-/// once per request and is safe to call from any thread (late responses
-/// are posted back to the loop and re-sequenced).
+/// the connection's shard loop thread and return the request's response.
+/// `read_at` is when the front end read the request's bytes.
 class RequestHandler {
  public:
+  using Clock = std::chrono::steady_clock;
   virtual ~RequestHandler() = default;
-  using Respond = std::function<void(Response)>;
-  virtual void OnTextLine(std::size_t shard, const std::string& line,
-                          Respond respond) = 0;
-  virtual void OnFrame(std::size_t shard, const Frame& frame,
-                       Respond respond) = 0;
+  virtual Response OnTextLine(std::size_t shard, const std::string& line,
+                              Clock::time_point read_at) = 0;
+  virtual Response OnFrame(std::size_t shard, const Frame& frame,
+                           Clock::time_point read_at) = 0;
 };
 
 struct FrontEndOptions {
@@ -96,10 +95,9 @@ class FrontEnd {
 
   /// Graceful stop, idempotent: closes the listener, flushes and closes
   /// every connection on its own shard loop, joins the shard threads.
-  /// The handler (and its server) outlive this call; drain the server
-  /// afterwards. Responses the server delivers after Stop() — or even
-  /// after the FrontEnd is destroyed — are discarded safely: each
-  /// Respond closure co-owns its shard's event loop.
+  /// Every request read before the stop has been answered by then. The
+  /// handler (and its server) outlive this call; shut the server down
+  /// afterwards.
   void Stop();
 
   /// Actual listening port (resolves tcp_port == 0); -1 for Unix.
@@ -121,10 +119,7 @@ class FrontEnd {
   RequestHandler* const handler_;
   const FrontEndOptions options_;
   ConsistentHashRing ring_;
-  // shared_ptr: every Conn co-owns its shard, so Respond closures still
-  // held by the server after Stop() keep the shard's EventLoop alive
-  // (late responses are then destroyed unrun, never a use-after-free).
-  std::vector<std::shared_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<Shard>> shards_;
   int listen_fd_ = -1;
   int port_ = -1;
   std::atomic<std::uint64_t> next_conn_key_{1};

@@ -1,7 +1,6 @@
 #include "serve/net_handler.h"
 
 #include <string>
-#include <utility>
 
 namespace rpm::serve {
 
@@ -9,39 +8,33 @@ namespace {
 
 // Answers one decoded request in its connection's codec: a decode
 // failure directly, anything else through Dispatch.
-void Serve(InferenceServer* server, std::size_t shard,
-           const std::string& error, Request request,
-           std::string (*encode)(const Reply&),
-           net::RequestHandler::Respond respond) {
+net::Response Serve(InferenceServer* server, std::size_t shard,
+                    net::RequestHandler::Clock::time_point read_at,
+                    const std::string& error, const Request& request,
+                    std::string (*encode)(const Reply&)) {
   if (!error.empty()) {
-    respond({encode(Failure(request.verb, StatusCode::kBadRequest, error)),
-             false});
-    return;
+    return {encode(Failure(request.verb, StatusCode::kBadRequest, error)),
+            false};
   }
-  const bool close = request.verb == net::BinaryVerb::kQuit;
-  server->Dispatch(
-      std::move(request), shard,
-      [encode, close, respond = std::move(respond)](const Reply& reply) {
-        respond({encode(reply), close});
-      });
+  return {encode(server->Dispatch(request, shard, read_at)),
+          request.verb == net::BinaryVerb::kQuit};
 }
 
 }  // namespace
 
-void NetHandler::OnTextLine(std::size_t shard, const std::string& line,
-                            Respond respond) {
+net::Response NetHandler::OnTextLine(std::size_t shard,
+                                     const std::string& line,
+                                     Clock::time_point read_at) {
   Request request;
   const std::string error = ParseLine(line, &request);
-  Serve(server_, shard, error, std::move(request), FormatLine,
-        std::move(respond));
+  return Serve(server_, shard, read_at, error, request, FormatLine);
 }
 
-void NetHandler::OnFrame(std::size_t shard, const net::Frame& frame,
-                         Respond respond) {
+net::Response NetHandler::OnFrame(std::size_t shard, const net::Frame& frame,
+                                  Clock::time_point read_at) {
   Request request;
   const std::string error = DecodeRequest(frame, &request);
-  Serve(server_, shard, error, std::move(request), EncodeReply,
-        std::move(respond));
+  return Serve(server_, shard, read_at, error, request, EncodeReply);
 }
 
 }  // namespace rpm::serve

@@ -3,9 +3,8 @@
 //
 // Each text line or binary frame is decoded by its codec
 // (serve/protocol.h), run by InferenceServer::Dispatch on the
-// connection's shard, and the reply encoded by the same codec. Dispatch
-// answers CLASSIFY asynchronously (from the shard's batching
-// dispatcher), which is why `respond` is a callback. QUIT is
+// connection's shard, and the reply encoded by the same codec, all on
+// the shard's reactor thread before the hook returns. QUIT is
 // connection-scoped: the server answers it like any verb, and the
 // handler closes the connection after the reply.
 //
@@ -27,10 +26,10 @@ class NetHandler : public net::RequestHandler {
   /// `server` must outlive the handler (and the front end using it).
   explicit NetHandler(InferenceServer* server) : server_(server) {}
 
-  void OnTextLine(std::size_t shard, const std::string& line,
-                  Respond respond) override;
-  void OnFrame(std::size_t shard, const net::Frame& frame,
-               Respond respond) override;
+  net::Response OnTextLine(std::size_t shard, const std::string& line,
+                           Clock::time_point read_at) override;
+  net::Response OnFrame(std::size_t shard, const net::Frame& frame,
+                        Clock::time_point read_at) override;
 
  private:
   InferenceServer* const server_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -30,20 +32,45 @@ static_assert(SameByte(StatusCode::kOk, WireStatus::kOk) &&
 constexpr std::size_t kDefaultTraceCount = 32;
 constexpr std::size_t kMaxTraceCount = 1024;
 
-// "1.5,2,-0.25" (or space-separated) -> Series; false on any non-number.
-bool ParseValues(const std::string& text, ts::Series* out) {
+// "1.5,2,-0.25" -> Series; false on any non-number. Empty fields are
+// skipped, so "1,,2" is two values. Fields are parsed in place with
+// from_chars. A field it does not consume whole ("+1", hex floats, out
+// of range) or reads as NaN goes to strtod, which defines what is
+// accepted and to which bits: the two agree on every other field.
+bool ParseValues(std::string_view csv, ts::Series* out) {
   out->clear();
-  std::string normalized = text;
-  std::replace(normalized.begin(), normalized.end(), ',', ' ');
-  std::istringstream fields(normalized);
-  std::string token;
-  while (fields >> token) {
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') return false;
+  std::string field;  // strtod needs a terminated copy
+  while (!csv.empty()) {
+    const std::size_t comma = std::min(csv.find(','), csv.size());
+    const std::string_view token = csv.substr(0, comma);
+    csv.remove_prefix(std::min(comma + 1, csv.size()));
+    if (token.empty()) continue;
+    const char* last = token.data() + token.size();
+    double v = 0.0;
+    const auto [ptr, ec] = std::from_chars(token.data(), last, v);
+    if (ec != std::errc() || ptr != last || std::isnan(v)) {
+      field.assign(token);
+      char* end = nullptr;
+      v = std::strtod(field.c_str(), &end);
+      if (end == nullptr || *end != '\0') return false;
+    }
     out->push_back(v);
   }
   return !out->empty();
+}
+
+// The next token of `*rest` as `>>` reads a string: leading whitespace
+// skipped, then up to the next whitespace. Consumed from `*rest`; empty
+// once only whitespace is left.
+std::string_view NextToken(std::string_view* rest) {
+  const auto space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  const auto begin = std::find_if_not(rest->begin(), rest->end(), space);
+  const auto end = std::find_if(begin, rest->end(), space);
+  const std::string_view token(begin, end);
+  rest->remove_prefix(std::size_t(end - rest->begin()));
+  return token;
 }
 
 // An optional trailing number, present only as a token of its own: at
@@ -61,6 +88,24 @@ bool OptionalNumber(std::istringstream& in, std::optional<T>* out) {
 
 }  // namespace
 
+std::string_view StatusName(StatusCode status) {
+  switch (status) {
+    case StatusCode::kOk:
+      return "OK";
+    case StatusCode::kTimeout:
+      return "TIMEOUT";
+    case StatusCode::kOverloaded:
+      return "OVERLOADED";
+    case StatusCode::kNotFound:
+      return "NOT_FOUND";
+    case StatusCode::kShutdown:
+      return "SHUTDOWN";
+    case StatusCode::kBadRequest:
+      return "BAD_REQUEST";
+  }
+  return "UNKNOWN";
+}
+
 Reply Failure(BinaryVerb verb, StatusCode status, std::string error) {
   Reply reply;
   reply.verb = verb;
@@ -72,31 +117,41 @@ Reply Failure(BinaryVerb verb, StatusCode status, std::string error) {
 // ---- Text codec ------------------------------------------------------
 
 std::string ParseLine(const std::string& line, Request* request) {
-  std::istringstream in(line);
-  std::string cmd;
-  if (!(in >> cmd)) return "empty line";
+  // The verb and the two series-carrying arms read the line in place:
+  // their value lists are most of a request's bytes. The other arms
+  // read the rest of the line through a stream.
+  std::string_view rest = line;
+  const std::string_view cmd = NextToken(&rest);
+  if (cmd.empty()) return "empty line";
   const std::optional<BinaryVerb> verb = net::VerbFromName(cmd);
-  if (!verb) return "unknown command '" + cmd + "'";
+  if (!verb) return "unknown command '" + std::string(cmd) + "'";
   request->verb = *verb;
+  if (*verb == BinaryVerb::kClassify || *verb == BinaryVerb::kStreamFeed) {
+    request->name = NextToken(&rest);
+    const std::string_view csv = NextToken(&rest);
+    if (*verb == BinaryVerb::kStreamFeed) {
+      if (csv.empty()) return "usage: STREAM_FEED <id> <v1,v2,...>";
+    } else {
+      std::istringstream tail{std::string(rest)};
+      std::optional<long> timeout_ms;
+      if (csv.empty() || !OptionalNumber(tail, &timeout_ms)) {
+        return "usage: CLASSIFY <name> <v1,v2,...> [ms]";
+      }
+      if (timeout_ms && *timeout_ms <= 0) return "timeout must be positive";
+      request->timeout = std::chrono::milliseconds(timeout_ms.value_or(0));
+    }
+    if (!ParseValues(csv, &request->values)) {
+      return "malformed values '" + std::string(csv) + "'";
+    }
+    return "";
+  }
+  std::istringstream in{std::string(rest)};
   switch (*verb) {
     case BinaryVerb::kLoad:
       return in >> request->name >> request->path ? ""
                                                   : "usage: LOAD <name> <path>";
     case BinaryVerb::kUnload:
       return in >> request->name ? "" : "usage: UNLOAD <name>";
-    case BinaryVerb::kClassify: {
-      std::string csv;
-      std::optional<long> timeout_ms;
-      if (!(in >> request->name >> csv) || !OptionalNumber(in, &timeout_ms)) {
-        return "usage: CLASSIFY <name> <v1,v2,...> [ms]";
-      }
-      if (timeout_ms && *timeout_ms <= 0) return "timeout must be positive";
-      if (!ParseValues(csv, &request->values)) {
-        return "malformed values '" + csv + "'";
-      }
-      request->timeout = std::chrono::milliseconds(timeout_ms.value_or(0));
-      return "";
-    }
     case BinaryVerb::kTrace: {
       std::optional<long> n;
       if (!OptionalNumber(in, &n)) return "usage: TRACE [n]";
@@ -126,16 +181,6 @@ std::string ParseLine(const std::string& line, Request* request) {
       opts.hop = hop.value_or(0) == 0 ? opts.window : std::size_t(*hop);
       opts.early_fraction = fraction.value_or(opts.early_fraction);
       opts.early_margin = margin.value_or(opts.early_margin);
-      return "";
-    }
-    case BinaryVerb::kStreamFeed: {
-      std::string csv;
-      if (!(in >> request->name >> csv)) {
-        return "usage: STREAM_FEED <id> <v1,v2,...>";
-      }
-      if (!ParseValues(csv, &request->values)) {
-        return "malformed values '" + csv + "'";
-      }
       return "";
     }
     case BinaryVerb::kStreamClose:

@@ -17,15 +17,29 @@
 #include <chrono>
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/frame.h"
-#include "serve/batching_queue.h"
 #include "stream/session_manager.h"
 #include "stream/stream_scorer.h"
 #include "ts/series.h"
 
 namespace rpm::serve {
+
+/// Terminal status of one request. The values are the binary protocol's
+/// WireStatus bytes (pinned in serve/protocol.cc).
+enum class StatusCode {
+  kOk,          ///< done; a CLASSIFY reply's `label` is valid
+  kTimeout,     ///< CLASSIFY deadline passed before scoring began
+  kOverloaded,  ///< STREAM_OPEN refused: the shard's session cap is full
+  kNotFound,    ///< no model or session under the requested name
+  kShutdown,    ///< submitted after Shutdown began
+  kBadRequest,  ///< malformed or refused request
+};
+
+/// Protocol-stable name of a status ("OK", "TIMEOUT", ...).
+std::string_view StatusName(StatusCode status);
 
 struct Request {
   net::BinaryVerb verb = net::BinaryVerb::kQuit;

@@ -21,10 +21,15 @@ std::string NoStream(const std::string& id) {
   return "no stream named '" + id + "'";
 }
 
+double MicrosSince(InferenceServer::Clock::time_point t0,
+                   InferenceServer::Clock::time_point t1) {
+  return std::chrono::duration<double, std::micro>(t1 - t0).count();
+}
+
 }  // namespace
 
-// One lock domain: a batching queue and a session manager that only
-// this shard's traffic touches, plus the shard-labeled metric cells.
+// One lock domain: a session manager that only this shard's traffic
+// touches, plus the shard-labeled metric cells.
 struct InferenceServer::Shard {
   /// Forwards stream events to the global ServerStats facade and the
   /// shard-labeled cells in the same registry, so STATS aggregates and
@@ -62,7 +67,6 @@ struct InferenceServer::Shard {
 
   Sink sink;
   obs::Counter* requests = nullptr;
-  std::unique_ptr<BatchingQueue> queue;
   std::unique_ptr<stream::StreamSessionManager> streams;
 };
 
@@ -91,8 +95,7 @@ InferenceServer::InferenceServer(ServerOptions options)
         "Window decisions emitted by this shard's sessions", labels);
     shard->requests = reg.GetCounter(
         "rpm_serve_shard_requests_total",
-        "CLASSIFY requests submitted through this shard", labels);
-    shard->queue = std::make_unique<BatchingQueue>(options_.batching, &stats_);
+        "CLASSIFY requests run on this shard", labels);
     stream::StreamManagerOptions stream_opts = options_.streaming;
     stream_opts.id_start = i + 1;
     stream_opts.id_stride = num_shards;
@@ -118,45 +121,50 @@ bool InferenceServer::UnloadModel(const std::string& name) {
   return registry_.Unload(name);
 }
 
-void InferenceServer::ClassifyWithCallback(const std::string& model,
-                                           ts::Series values,
-                                           std::chrono::microseconds timeout,
-                                           std::size_t shard,
-                                           BatchingQueue::Callback done) {
-  Shard& s = *shards_[shard % shards_.size()];
-  s.requests->Increment();
-  ModelHandle handle = registry_.Get(model);
+ClassifyResult InferenceServer::RunClassify(const std::string& model,
+                                            ts::SeriesView values,
+                                            Clock::time_point received,
+                                            std::chrono::microseconds timeout,
+                                            std::size_t shard) {
+  shards_[shard % shards_.size()]->requests->Increment();
+  const ModelHandle handle = registry_.Get(model);
   if (handle == nullptr) {
     stats_.RecordNotFound();
-    done({StatusCode::kNotFound, 0, 0.0});
-    return;
+    return {StatusCode::kNotFound, 0, 0.0};
   }
-  s.queue->SubmitWithCallback(std::move(handle), std::move(values),
-                              BatchingQueue::Clock::now() + timeout,
-                              std::move(done));
-}
-
-std::future<ClassifyResult> InferenceServer::ClassifyAsync(
-    const std::string& model, ts::Series values,
-    std::chrono::microseconds timeout, std::size_t shard) {
-  auto promise = std::make_shared<std::promise<ClassifyResult>>();
-  std::future<ClassifyResult> future = promise->get_future();
-  ClassifyWithCallback(model, std::move(values), timeout, shard,
-                       [promise](ClassifyResult result) {
-                         promise->set_value(result);
-                       });
-  return future;
+  if (shutdown_.load(std::memory_order_acquire)) {
+    stats_.RecordRejectedShutdown();
+    return {StatusCode::kShutdown, 0, 0.0};
+  }
+  stats_.RecordAdmitted();
+  // The deadline is checked once, before scoring: a request that waited
+  // out its timeout behind earlier ones is answered without the engine.
+  const Clock::time_point start = Clock::now();
+  if (start - received >= timeout) {
+    const double latency = MicrosSince(received, start);
+    stats_.RecordTimeout(latency);
+    return {StatusCode::kTimeout, 0, latency};
+  }
+  const int label = handle->engine.Classify(values);
+  const Clock::time_point done = Clock::now();
+  // Span over the scoring, reusing the timestamps taken for the latency
+  // (no extra clock reads; sampled inside). "serve.batch" is a batch of
+  // one: dashboards and the benchmark read spans by that name.
+  obs::Tracer::Default().MaybeRecord("serve.batch", start, done);
+  const double latency = MicrosSince(received, done);
+  stats_.RecordOk(latency);
+  return {StatusCode::kOk, label, latency};
 }
 
 ClassifyResult InferenceServer::Classify(const std::string& model,
-                                         ts::Series values,
+                                         ts::SeriesView values,
                                          std::chrono::microseconds timeout) {
-  return ClassifyAsync(model, std::move(values), timeout).get();
+  return RunClassify(model, values, Clock::now(), timeout, 0);
 }
 
 ClassifyResult InferenceServer::Classify(const std::string& model,
-                                         ts::Series values) {
-  return Classify(model, std::move(values), options_.default_timeout);
+                                         ts::SeriesView values) {
+  return Classify(model, values, options_.default_timeout);
 }
 
 stream::StreamSessionManager::OpenResult InferenceServer::OpenStream(
@@ -219,10 +227,8 @@ std::vector<std::string> InferenceServer::StreamIds() const {
 }
 
 void InferenceServer::Shutdown() {
-  // Sessions first (stops decisions flowing into stats mid-drain), then
-  // queues; each shard's own pair, so nothing cross-shard is held.
+  shutdown_.store(true, std::memory_order_release);
   for (auto& shard : shards_) shard->streams->Shutdown();
-  for (auto& shard : shards_) shard->queue->Shutdown();
 }
 
 std::string InferenceServer::MetricsText() const {
@@ -234,23 +240,17 @@ std::string InferenceServer::MetricsText() const {
 }
 
 std::string InferenceServer::HandleLine(const std::string& line) {
+  const Clock::time_point received = Clock::now();
   Request request;
   const std::string error = ParseLine(line, &request);
   if (!error.empty()) {
     return FormatLine(Failure(request.verb, StatusCode::kBadRequest, error));
   }
-  // Shared, not on this stack: set_value can still be returning on the
-  // dispatcher thread after get() has woken this one.
-  auto promise = std::make_shared<std::promise<std::string>>();
-  std::future<std::string> future = promise->get_future();
-  Dispatch(std::move(request), 0, [promise](const Reply& reply) {
-    promise->set_value(FormatLine(reply));
-  });
-  return future.get();
+  return FormatLine(Dispatch(request, 0, received));
 }
 
-void InferenceServer::Dispatch(Request request, std::size_t shard,
-                               ReplyCallback done) {
+Reply InferenceServer::Dispatch(const Request& request, std::size_t shard,
+                                Clock::time_point received) {
   using OpenStatus = stream::StreamSessionManager::OpenStatus;
   using FeedStatus = stream::StreamSessionManager::FeedStatus;
   const BinaryVerb verb = request.verb;
@@ -275,24 +275,17 @@ void InferenceServer::Dispatch(Request request, std::size_t shard,
       reply.names = registry_.Names();
       break;
     case BinaryVerb::kClassify: {
-      // The one asynchronous verb: the reply is produced when the
-      // micro-batch dispatches, on the shard's dispatcher thread.
       const std::chrono::microseconds timeout =
           request.timeout.count() == 0 ? options_.default_timeout
                                        : request.timeout;
-      ClassifyWithCallback(
-          request.name, std::move(request.values), timeout, shard,
-          [done = std::move(done), name = request.name](ClassifyResult result) {
-            Reply reply;
-            reply.verb = BinaryVerb::kClassify;
-            reply.status = result.status;
-            reply.label = result.label;
-            if (result.status == StatusCode::kNotFound) {
-              reply.error = NoModel(name);
-            }
-            done(reply);
-          });
-      return;
+      const ClassifyResult result =
+          RunClassify(request.name, request.values, received, timeout, shard);
+      reply.status = result.status;
+      reply.label = result.label;
+      if (result.status == StatusCode::kNotFound) {
+        reply.error = NoModel(request.name);
+      }
+      break;
     }
     case BinaryVerb::kStats:
       reply.body = stats_.Snapshot().ToJson();
@@ -347,7 +340,7 @@ void InferenceServer::Dispatch(Request request, std::size_t shard,
     case BinaryVerb::kQuit:
       break;
   }
-  done(reply);
+  return reply;
 }
 
 }  // namespace rpm::serve

@@ -1,36 +1,36 @@
-// The inference server: registry + batching queue + stats behind one
+// The inference server: registry + stream sessions + stats behind one
 // facade, with an in-process C++ API (tests, benches, embedding) and
 // Dispatch, which runs every protocol verb. Both wire codecs (text lines
 // and binary frames, see serve/protocol.h) decode into one Request and
 // encode the one Reply, so each verb has exactly one implementation;
 // docs/SERVING.md specifies the verbs, their replies and the error
-// codes. Apart from stream sessions the protocol carries no connection
-// state, so Dispatch and HandleLine are safe to call from any number of
-// connection threads concurrently.
+// codes.
+//
+// Every verb runs to completion on the thread that calls it: a shard's
+// reactor for socket traffic, the caller for the in-process API. The
+// server starts no thread of its own. Apart from stream sessions the
+// protocol carries no connection state, so Dispatch, Classify and
+// HandleLine are safe to call from any number of threads concurrently.
 //
 // Sharding: with ServerOptions::num_shards = S > 1 the server holds S
-// independent (BatchingQueue, StreamSessionManager) pairs. A shard is a
-// lock domain: feeds into a session on shard i touch only shard i's
-// session map, so S reactor threads feeding their own shards never
-// contend. Session ids interleave (shard i mints s<i+1>, s<i+1+S>, ...)
-// and encode their home shard — FeedStream/CloseStream route by id, so
-// the id-only API stays shard-oblivious. The model registry and the
-// stats facade remain global: LOAD/UNLOAD are control-plane rare, and
-// STATS must aggregate. Defaults (S = 1) behave exactly like the
-// pre-sharding server.
+// independent StreamSessionManagers. A shard is a lock domain: feeds
+// into a session on shard i touch only shard i's session map, so S
+// reactor threads feeding their own shards never contend. Session ids
+// interleave (shard i mints s<i+1>, s<i+1+S>, ...) and encode their home
+// shard — FeedStream/CloseStream route by id, so the id-only API stays
+// shard-oblivious. The model registry and the stats facade remain
+// global: LOAD/UNLOAD are control-plane rare, and STATS must aggregate.
 
 #ifndef RPM_SERVE_SERVER_H_
 #define RPM_SERVE_SERVER_H_
 
+#include <atomic>
 #include <chrono>
-#include <functional>
-#include <future>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "serve/batching_queue.h"
 #include "serve/model_registry.h"
 #include "serve/protocol.h"
 #include "serve/server_stats.h"
@@ -39,20 +39,28 @@
 
 namespace rpm::serve {
 
+struct ClassifyResult {
+  StatusCode status = StatusCode::kOk;
+  int label = 0;
+  /// Receipt -> completion wall time (0 for rejected requests).
+  double latency_us = 0.0;
+};
+
 struct ServerOptions {
-  BatchingOptions batching;
   /// Deadline applied to CLASSIFY requests that don't carry their own.
   std::chrono::milliseconds default_timeout{1000};
   /// Stream session limits (max sessions, idle eviction, reaper cadence).
   /// max_sessions is enforced per shard; id_start/id_stride are
   /// overwritten by the server's shard numbering.
   stream::StreamManagerOptions streaming;
-  /// Independent queue+session lock domains; see the file comment.
+  /// Independent session lock domains; see the file comment.
   std::size_t num_shards = 1;
 };
 
 class InferenceServer {
  public:
+  using Clock = std::chrono::steady_clock;
+
   explicit InferenceServer(ServerOptions options = {});
   ~InferenceServer();
 
@@ -70,23 +78,12 @@ class InferenceServer {
   /// Removes `name`; in-flight requests on it complete normally.
   bool UnloadModel(const std::string& name);
 
-  /// Enqueues one request; the future resolves when its micro-batch is
-  /// dispatched (or it is rejected/timed out).
-  std::future<ClassifyResult> ClassifyAsync(
-      const std::string& model, ts::Series values,
-      std::chrono::microseconds timeout, std::size_t shard = 0);
-
-  /// Callback form for event-driven callers: `done` runs exactly once,
-  /// inline for rejections (not-found, overload, shutdown) or on the
-  /// shard's dispatcher thread after batch dispatch. Must not block.
-  void ClassifyWithCallback(const std::string& model, ts::Series values,
-                            std::chrono::microseconds timeout,
-                            std::size_t shard, BatchingQueue::Callback done);
-
-  /// Blocking convenience wrapper around ClassifyAsync.
-  ClassifyResult Classify(const std::string& model, ts::Series values,
+  /// Classifies `values` on the calling thread. The deadline counts from
+  /// the call and is checked before scoring: a call that starts too late
+  /// is answered kTimeout unscored.
+  ClassifyResult Classify(const std::string& model, ts::SeriesView values,
                           std::chrono::microseconds timeout);
-  ClassifyResult Classify(const std::string& model, ts::Series values);
+  ClassifyResult Classify(const std::string& model, ts::SeriesView values);
 
   StatsSnapshot Stats() const { return stats_.Snapshot(); }
   ModelRegistry& registry() { return registry_; }
@@ -125,37 +122,41 @@ class InferenceServer {
   std::vector<std::string> StreamIds() const;
   std::size_t num_shards() const { return shards_.size(); }
 
-  /// Stops admissions, closes stream sessions, drains admitted requests.
-  /// Each shard drains its own queue and closes its own sessions, so
-  /// every admitted request completes and every session closes exactly
-  /// once (STATS: opened == closed + evicted). Idempotent.
+  /// Stops admissions and closes every shard's stream sessions, so each
+  /// session closes exactly once (STATS: opened == closed + evicted).
+  /// Later requests are answered kShutdown; a CLASSIFY already past
+  /// admission completes on its own thread. Idempotent.
   void Shutdown();
 
   // ---- Protocol ----
 
-  /// Runs one decoded request; the only place verb semantics live. The
-  /// request is taken by value so CLASSIFY can move its samples into the
-  /// batching queue. `done` is called exactly once — inline for every
-  /// verb except CLASSIFY, which answers from shard `shard`'s dispatcher
-  /// thread when its micro-batch completes. STREAM_OPEN opens on
-  /// `shard`; the other stream verbs run on the calling thread against
-  /// the session's home shard.
-  using ReplyCallback = std::function<void(const Reply&)>;
-  void Dispatch(Request request, std::size_t shard, ReplyCallback done);
+  /// Runs one decoded request and returns its reply; the only place verb
+  /// semantics live. `received` is when the request's bytes were read
+  /// (or the in-process call was made): a CLASSIFY's deadline counts
+  /// from it. STREAM_OPEN opens on `shard`; the other stream verbs run
+  /// against the session's home shard.
+  Reply Dispatch(const Request& request, std::size_t shard,
+                 Clock::time_point received);
 
   /// One text protocol line (no trailing newline) in, its response line
-  /// out: ParseLine, Dispatch on shard 0, FormatLine. Blocks the caller
-  /// until CLASSIFY's batch completes, which is what lets concurrent
-  /// callers form batches.
+  /// out: ParseLine, Dispatch on shard 0, FormatLine.
   std::string HandleLine(const std::string& line);
 
  private:
   struct Shard;
 
+  /// CLASSIFY behind Classify and Dispatch; `shard` only picks the
+  /// per-shard request counter.
+  ClassifyResult RunClassify(const std::string& model, ts::SeriesView values,
+                             Clock::time_point received,
+                             std::chrono::microseconds timeout,
+                             std::size_t shard);
+
   ServerOptions options_;
   ModelRegistry registry_;
   ServerStats stats_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  std::atomic<bool> shutdown_{false};
 };
 
 }  // namespace rpm::serve

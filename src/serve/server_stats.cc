@@ -10,10 +10,7 @@ namespace {
 // documented in docs/OBSERVABILITY.md).
 constexpr char kAdmitted[] = "rpm_serve_requests_admitted_total";
 constexpr char kRequests[] = "rpm_serve_requests_total";
-constexpr char kBatches[] = "rpm_serve_batches_total";
-constexpr char kQueueDepth[] = "rpm_serve_queue_depth";
 constexpr char kLatency[] = "rpm_serve_request_latency_microseconds";
-constexpr char kOccupancy[] = "rpm_serve_batch_occupancy";
 constexpr char kStreamsOpened[] = "rpm_stream_sessions_opened_total";
 constexpr char kStreamsClosed[] = "rpm_stream_sessions_closed_total";
 constexpr char kStreamsEvicted[] = "rpm_stream_sessions_evicted_total";
@@ -30,24 +27,16 @@ obs::Labels Status(const char* value) { return {{"status", value}}; }
 
 ServerStats::ServerStats() {
   admitted_ = registry_.GetCounter(kAdmitted,
-                                   "Requests accepted into the queue.");
+                                   "CLASSIFY requests admitted for scoring.");
   const char* help = "Requests finished, by terminal status.";
   ok_ = registry_.GetCounter(kRequests, help, Status("ok"));
   timeout_ = registry_.GetCounter(kRequests, help, Status("timeout"));
-  shed_ = registry_.GetCounter(kRequests, help, Status("shed"));
   not_found_ = registry_.GetCounter(kRequests, help, Status("not_found"));
   rejected_shutdown_ =
       registry_.GetCounter(kRequests, help, Status("rejected_shutdown"));
-  batches_ =
-      registry_.GetCounter(kBatches, "Micro-batches dispatched.");
-  queue_depth_ = registry_.GetGauge(
-      kQueueDepth, "Requests queued, not yet dispatched.");
   latency_us_ = registry_.GetHistogram(
-      kLatency, "Submit-to-completion request latency in microseconds.",
+      kLatency, "Receipt-to-completion request latency in microseconds.",
       obs::Histogram::GeometricBounds(1.0, 1.35));
-  batch_occupancy_ = registry_.GetHistogram(
-      kOccupancy, "Live requests per dispatched micro-batch.",
-      obs::Histogram::LinearBounds(1.0));
   streams_opened_ =
       registry_.GetCounter(kStreamsOpened, "Stream sessions opened.");
   streams_closed_ = registry_.GetCounter(
@@ -79,11 +68,6 @@ void ServerStats::RecordTimeout(double latency_us) {
   latency_us_->Record(latency_us);
 }
 
-void ServerStats::RecordBatch(std::size_t occupancy) {
-  batches_->Increment();
-  batch_occupancy_->Record(double(occupancy));
-}
-
 void ServerStats::RecordStreamDecision(double score_us, bool early) {
   stream_decisions_->Increment();
   if (early) stream_early_->Increment();
@@ -96,11 +80,9 @@ StatsSnapshot ServerStats::FromMetrics(
   snap.admitted = metrics.Count(kAdmitted);
   snap.ok = metrics.Count(kRequests, Status("ok"));
   snap.timeout = metrics.Count(kRequests, Status("timeout"));
-  snap.shed = metrics.Count(kRequests, Status("shed"));
   snap.not_found = metrics.Count(kRequests, Status("not_found"));
   snap.rejected_shutdown =
       metrics.Count(kRequests, Status("rejected_shutdown"));
-  snap.batches = metrics.Count(kBatches);
   snap.streams_opened = metrics.Count(kStreamsOpened);
   snap.streams_closed = metrics.Count(kStreamsClosed);
   snap.streams_evicted = metrics.Count(kStreamsEvicted);
@@ -110,9 +92,6 @@ StatsSnapshot ServerStats::FromMetrics(
   snap.stream_truncated_feeds = metrics.Count(kStreamTruncated);
   if (const auto* h = metrics.FindHistogram(kLatency)) {
     snap.latency_us = h->snapshot;
-  }
-  if (const auto* h = metrics.FindHistogram(kOccupancy)) {
-    snap.batch_occupancy = h->snapshot;
   }
   if (const auto* h = metrics.FindHistogram(kStreamScore)) {
     snap.stream_score_us = h->snapshot;
@@ -128,9 +107,9 @@ std::string StatsSnapshot::ToJson() const {
   char buf[1024];
   std::snprintf(
       buf, sizeof(buf),
-      "{\"admitted\":%llu,\"ok\":%llu,\"timeout\":%llu,\"shed\":%llu,"
-      "\"not_found\":%llu,\"rejected_shutdown\":%llu,\"batches\":%llu,"
-      "\"mean_batch_occupancy\":%.2f,\"latency_us\":{\"p50\":%.1f,"
+      "{\"admitted\":%llu,\"ok\":%llu,\"timeout\":%llu,"
+      "\"not_found\":%llu,\"rejected_shutdown\":%llu,"
+      "\"latency_us\":{\"p50\":%.1f,"
       "\"p95\":%.1f,\"p99\":%.1f,\"mean\":%.1f},"
       "\"streams\":{\"opened\":%llu,\"closed\":%llu,\"evicted\":%llu,"
       "\"samples\":%llu,\"decisions\":%llu,\"early\":%llu,"
@@ -139,10 +118,8 @@ std::string StatsSnapshot::ToJson() const {
       static_cast<unsigned long long>(admitted),
       static_cast<unsigned long long>(ok),
       static_cast<unsigned long long>(timeout),
-      static_cast<unsigned long long>(shed),
       static_cast<unsigned long long>(not_found),
       static_cast<unsigned long long>(rejected_shutdown),
-      static_cast<unsigned long long>(batches), batch_occupancy.Mean(),
       latency_us.Percentile(50.0), latency_us.Percentile(95.0),
       latency_us.Percentile(99.0), latency_us.Mean(),
       static_cast<unsigned long long>(streams_opened),

@@ -11,9 +11,9 @@
 // disagree between the two views.
 //
 // Latency percentiles come from a geometric fixed-bucket histogram
-// (64 buckets, ~26% resolution per bucket over ~1us..~3e8us), batch
-// occupancy from a linear one; percentile values are bucket upper
-// bounds, so they are exact to bucket resolution.
+// (64 buckets, ~26% resolution per bucket over ~1us..~3e8us);
+// percentile values are bucket upper bounds, so they are exact to
+// bucket resolution.
 //
 // Metric names and units are documented in docs/OBSERVABILITY.md.
 
@@ -36,13 +36,11 @@ using HistogramSnapshot = obs::HistogramSnapshot;
 /// JSON response. Derived from an obs::RegistrySnapshot — see
 /// ServerStats::FromMetrics.
 struct StatsSnapshot {
-  std::uint64_t admitted = 0;   ///< requests accepted into the queue
+  std::uint64_t admitted = 0;   ///< CLASSIFY requests admitted
   std::uint64_t ok = 0;         ///< completed with a label
-  std::uint64_t timeout = 0;    ///< expired before dispatch
-  std::uint64_t shed = 0;       ///< rejected by admission control
+  std::uint64_t timeout = 0;    ///< deadline passed before scoring
   std::uint64_t not_found = 0;  ///< unknown model name
   std::uint64_t rejected_shutdown = 0;  ///< submitted after Shutdown
-  std::uint64_t batches = 0;    ///< micro-batches dispatched
   std::uint64_t streams_opened = 0;
   std::uint64_t streams_closed = 0;
   std::uint64_t streams_evicted = 0;       ///< idle-reaped sessions
@@ -50,8 +48,7 @@ struct StatsSnapshot {
   std::uint64_t stream_decisions = 0;      ///< decisions emitted
   std::uint64_t stream_early = 0;          ///< of which early
   std::uint64_t stream_truncated_feeds = 0;  ///< feeds hit backpressure
-  HistogramSnapshot latency_us;       ///< submit -> completion, microseconds
-  HistogramSnapshot batch_occupancy;  ///< live requests per dispatched batch
+  HistogramSnapshot latency_us;       ///< receipt -> completion, microseconds
   HistogramSnapshot stream_score_us;  ///< per-window scoring time
 
   /// One-line JSON rendering (the STATS protocol response body).
@@ -68,13 +65,8 @@ class ServerStats {
   void RecordAdmitted() { admitted_->Increment(); }
   void RecordOk(double latency_us);
   void RecordTimeout(double latency_us);
-  void RecordShed() { shed_->Increment(); }
   void RecordNotFound() { not_found_->Increment(); }
   void RecordRejectedShutdown() { rejected_shutdown_->Increment(); }
-  void RecordBatch(std::size_t occupancy);
-  void RecordQueueDepth(std::size_t depth) {
-    queue_depth_->Set(std::int64_t(depth));
-  }
 
   void RecordStreamOpen() {
     streams_opened_->Increment();
@@ -111,11 +103,8 @@ class ServerStats {
   obs::Counter* admitted_;
   obs::Counter* ok_;
   obs::Counter* timeout_;
-  obs::Counter* shed_;
   obs::Counter* not_found_;
   obs::Counter* rejected_shutdown_;
-  obs::Counter* batches_;
-  obs::Gauge* queue_depth_;
   obs::Counter* streams_opened_;
   obs::Counter* streams_closed_;
   obs::Counter* streams_evicted_;
@@ -125,7 +114,6 @@ class ServerStats {
   obs::Counter* stream_early_;
   obs::Counter* stream_truncated_feeds_;
   obs::Histogram* latency_us_;
-  obs::Histogram* batch_occupancy_;
   obs::Histogram* stream_score_us_;
 };
 

@@ -3,9 +3,9 @@
 // (split/coalesced/oversized/corrupt/truncated frames), consistent-hash
 // ring properties, the event loop's cross-thread post contract, the
 // sharded server (id pinning, by-id routing, shard-local reaping,
-// shutdown accounting, callback classify), and socket end-to-end runs
-// over both codecs — including codec negotiation, pipelined response
-// ordering, half-close draining, and graceful stop.
+// shutdown accounting), and socket end-to-end runs over both codecs —
+// including codec negotiation, pipelined response ordering, deadlines
+// of pipelined requests, half-close draining, and graceful stop.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <sstream>
@@ -526,39 +528,13 @@ TEST(ShardedServer, ShutdownClosesEverySessionExactlyOnce) {
   feed_writer.Str(ids[1]);
   const double sample = 1.0;
   feed_writer.F64Array(&sample, 1);
-  net::Response response;
-  handler.OnFrame(0, Frame{std::uint8_t(BinaryVerb::kStreamFeed), 0, feed},
-                  [&response](net::Response r) { response = std::move(r); });
+  const net::Response response =
+      handler.OnFrame(0, Frame{std::uint8_t(BinaryVerb::kStreamFeed), 0, feed},
+                      net::RequestHandler::Clock::now());
   std::string detail;
   PayloadWriter(&detail).Str("shutting down");
   EXPECT_EQ(response.bytes, net::EncodeFrame(BinaryVerb::kStreamFeed,
                                              WireStatus::kShutdown, detail));
-}
-
-TEST(ShardedServer, ClassifyWithCallbackDeliversExactlyOnce) {
-  serve::InferenceServer server(ShardedOptions(2));
-  server.AddModel("cbf", TrainedCopy());
-  const auto& instance = Fixture().split.test.instances()[0];
-
-  std::promise<serve::ClassifyResult> done;
-  server.ClassifyWithCallback(
-      "cbf", ts::Series(instance.values), std::chrono::seconds(5), 1,
-      [&done](serve::ClassifyResult result) {
-        done.set_value(result);  // a second call would throw
-      });
-  const auto result = done.get_future().get();
-  EXPECT_EQ(result.status, serve::StatusCode::kOk);
-  EXPECT_EQ(result.label,
-            server.Classify("cbf", ts::Series(instance.values)).label);
-
-  // Unknown model: rejected inline on the calling thread.
-  bool rejected = false;
-  server.ClassifyWithCallback(
-      "nope", ts::Series(instance.values), std::chrono::seconds(1), 0,
-      [&rejected](serve::ClassifyResult result) {
-        rejected = (result.status == serve::StatusCode::kNotFound);
-      });
-  EXPECT_TRUE(rejected);
 }
 
 // ---------------- Socket end-to-end ----------------
@@ -688,9 +664,8 @@ TEST(FrontEndE2E, PipelinedTextResponsesKeepRequestOrder) {
   const int fd = ConnectTcp(harness.port());
   ASSERT_GE(fd, 0);
 
-  // CLASSIFY answers asynchronously (batching dispatcher); MODELS and
-  // STREAMS answer inline. The wire order must still match the request
-  // order: the front end re-sequences per connection.
+  // Interleaved CLASSIFY, MODELS and STREAMS: the wire order must match
+  // the request order.
   const auto& instance = Fixture().split.test.instances()[0];
   const std::string csv = Csv(instance.values, instance.values.size());
   ASSERT_TRUE(SendAll(fd, "CLASSIFY cbf " + csv + "\nMODELS\nCLASSIFY cbf " +
@@ -707,11 +682,66 @@ TEST(FrontEndE2E, PipelinedTextResponsesKeepRequestOrder) {
   ::close(fd);
 }
 
+// The unsigned value after `"key":` in a STATS JSON body.
+std::uint64_t StatsField(const std::string& json, const std::string& key) {
+  const std::string tag = "\"" + key + "\":";
+  const std::size_t at = json.find(tag);
+  return at == std::string::npos
+             ? ~std::uint64_t{0}
+             : std::strtoull(json.c_str() + at + tag.size(), nullptr, 10);
+}
+
+TEST(FrontEndE2E, PipelinedShortDeadlinesAnswerLabelOrTimeout) {
+  // CLASSIFYs with a 1 ms deadline, pipelined in one burst: the reactor
+  // scores them in turn, and each deadline counts from the read that
+  // brought the request in, so requests late in the burst may time out.
+  // Every reply is the right label or TIMEOUT, and STATS counts exactly
+  // those replies.
+  Harness harness(1);
+  ASSERT_TRUE(harness.Start());
+  const int fd = ConnectTcp(harness.port());
+  ASSERT_GE(fd, 0);
+
+  const auto& instances = Fixture().split.test.instances();
+  constexpr std::size_t kRequests = 200;
+  std::string burst;
+  std::vector<int> expected;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    const auto& values = instances[i % instances.size()].values;
+    const std::string line =
+        "CLASSIFY cbf " + Csv(values, values.size()) + " 1";
+    serve::Request request;
+    ASSERT_EQ(serve::ParseLine(line, &request), "");
+    expected.push_back(Fixture().classifier.Classify(request.values));
+    burst += line + "\n";
+  }
+  ASSERT_TRUE(SendAll(fd, burst));
+
+  std::uint64_t ok = 0;
+  std::uint64_t timeout = 0;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    const std::string reply = RecvLine(fd);
+    if (reply == "ERR TIMEOUT") {
+      ++timeout;
+    } else {
+      ASSERT_EQ(reply, "OK " + std::to_string(expected[i])) << "request " << i;
+      ++ok;
+    }
+  }
+  ASSERT_TRUE(SendAll(fd, "STATS\n"));
+  const std::string stats = RecvLine(fd);
+  ASSERT_EQ(stats.rfind("OK {", 0), 0u) << stats;
+  EXPECT_EQ(StatsField(stats, "ok"), ok);
+  EXPECT_EQ(StatsField(stats, "timeout"), timeout);
+  EXPECT_EQ(StatsField(stats, "admitted"), ok + timeout);
+  ::close(fd);
+}
+
 TEST(FrontEndE2E, HalfCloseStillAnswersPipelinedText) {
   // The documented quickstart shape: pipeline requests, then shut down
   // the write side (printf ... | nc -N). Read-EOF is a half-close, not
-  // an abort — every buffered request is answered (including the async
-  // CLASSIFY path) before the server closes.
+  // an abort — every buffered request is answered (CLASSIFY included)
+  // before the server closes.
   Harness harness(1);
   ASSERT_TRUE(harness.Start());
   const int fd = ConnectTcp(harness.port());

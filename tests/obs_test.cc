@@ -531,8 +531,6 @@ TEST(ServeObservability, StatsAndMetricsAgreeAfterDrain) {
   EXPECT_EQ(stats.admitted, 10u);
   EXPECT_EQ(stats.ok, 10u);
   EXPECT_EQ(stats.not_found, 1u);
-  EXPECT_EQ(double(stats.batches),
-            LabeledValue(parsed, "rpm_serve_batches_total"));
   EXPECT_EQ(double(stats.latency_us.total),
             LabeledValue(parsed,
                          "rpm_serve_request_latency_microseconds_count"));

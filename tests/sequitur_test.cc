@@ -130,12 +130,16 @@ TEST(Sequitur, ToStringMentionsEveryRule) {
 }
 
 // Property sweep: roundtrip and occurrence consistency across alphabet
-// sizes and lengths.
+// sizes and lengths. gtest names each case after the bytes of its
+// parameter, so the struct has no padding: every byte it prints is a
+// field's, and each test keeps the same name in every build.
 struct SequiturCase {
   std::size_t seed;
   std::size_t length;
-  std::uint32_t alphabet;
+  std::size_t alphabet;
 };
+static_assert(sizeof(SequiturCase) == 3 * sizeof(std::size_t),
+              "padding bytes would put uninitialized memory in test names");
 
 class SequiturProperty : public ::testing::TestWithParam<SequiturCase> {};
 

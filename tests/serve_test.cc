@@ -1,23 +1,30 @@
 // Tests for the serving subsystem (src/serve): registry hot reload under
-// concurrent traffic, micro-batch formation, deadlines, admission
-// control, drain-on-shutdown, the text protocol, and end-to-end
-// equivalence with the offline classifier. The *Concurrency tests double
-// as the TSan surface driven by scripts/tsan_check.sh.
+// concurrent traffic, deadlines, shutdown, the text protocol and its
+// number parsing, and end-to-end equivalence with the offline
+// classifier. The *Concurrency tests hammer the server from many
+// threads, for TSan (scripts/tsan_check.sh).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
-#include <future>
-#include <memory>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "net/frame.h"
+#include "obs/metrics.h"
+#include "serve/protocol.h"
 #include "serve/server.h"
 #include "ts/generators.h"
+#include "ts/rng.h"
 
 namespace rpm {
 namespace {
@@ -56,45 +63,9 @@ core::RpmClassifier TrainedCopy() {
 
 serve::ServerOptions FastOptions() {
   serve::ServerOptions options;
-  options.batching.max_queue_depth = 1024;
-  options.batching.num_threads = 2;
   options.default_timeout = milliseconds(10000);
   return options;
 }
-
-// Parks shard 0's dispatcher until Release(), so requests submitted in
-// between stay queued without a timer. It does so from inside a request's
-// completion callback, which deliberately breaks ClassifyWithCallback's
-// "must not block" contract; only a test may do that. The held request
-// itself completes kOk first, so it counts as one admitted, one ok and
-// one batch of one: take counts as differences from a Stats() snapshot
-// taken while the hold is in place.
-class DispatcherHold {
- public:
-  explicit DispatcherHold(serve::InferenceServer& server) {
-    auto entered = std::make_shared<std::promise<void>>();
-    std::future<void> in_callback = entered->get_future();
-    server.ClassifyWithCallback(
-        "gp", Fixture().split.test[0].values, milliseconds(60000), 0,
-        [entered, release = release_.get_future().share()](
-            serve::ClassifyResult result) {
-          EXPECT_EQ(result.status, serve::StatusCode::kOk);
-          entered->set_value();
-          release.wait();
-        });
-    in_callback.wait();
-  }
-  ~DispatcherHold() { Release(); }
-
-  void Release() {
-    if (!released_) release_.set_value();
-    released_ = true;
-  }
-
- private:
-  std::promise<void> release_;
-  bool released_ = false;
-};
 
 TEST(ModelRegistry, LoadGetUnloadNames) {
   const std::string path = testing::TempDir() + "registry_model.rpm";
@@ -169,55 +140,6 @@ TEST(ModelRegistryConcurrency, HotReloadUnderConcurrentClassify) {
   EXPECT_GT(classified.load(), 0);
 }
 
-TEST(BatchingQueue, FormsMicroBatchesFromConcurrentSubmissions) {
-  serve::InferenceServer server(FastOptions());
-  server.AddModel("gp", TrainedCopy());
-  DispatcherHold hold(server);
-  const serve::StatsSnapshot held = server.Stats();
-
-  const auto& test = Fixture().split.test;
-  std::vector<std::future<serve::ClassifyResult>> futures;
-  for (int i = 0; i < 8; ++i) {
-    futures.push_back(server.ClassifyAsync(
-        "gp", test[std::size_t(i) % test.size()].values, milliseconds(5000)));
-  }
-  hold.Release();
-  for (auto& f : futures) {
-    EXPECT_EQ(f.get().status, serve::StatusCode::kOk);
-  }
-  const serve::StatsSnapshot stats = server.Stats();
-  EXPECT_EQ(stats.admitted - held.admitted, 8u);
-  EXPECT_EQ(stats.ok - held.ok, 8u);
-  // All eight queued behind the held dispatcher, so they share one dispatch.
-  EXPECT_EQ(stats.batches - held.batches, 1u);
-  EXPECT_DOUBLE_EQ(stats.batch_occupancy.sum - held.batch_occupancy.sum, 8.0);
-}
-
-TEST(BatchingQueue, BatchesAreCappedAtMaxBatchSize) {
-  serve::InferenceServer server(FastOptions());
-  server.AddModel("gp", TrainedCopy());
-  DispatcherHold hold(server);
-  const serve::StatsSnapshot held = server.Stats();
-
-  constexpr std::size_t kQueued = serve::kMaxBatchSize + 8;
-  const auto& test = Fixture().split.test;
-  std::vector<std::future<serve::ClassifyResult>> futures;
-  for (std::size_t i = 0; i < kQueued; ++i) {
-    futures.push_back(server.ClassifyAsync(
-        "gp", test[i % test.size()].values, milliseconds(5000)));
-  }
-  hold.Release();
-  for (auto& f : futures) {
-    EXPECT_EQ(f.get().status, serve::StatusCode::kOk);
-  }
-  const serve::StatsSnapshot stats = server.Stats();
-  EXPECT_EQ(stats.ok - held.ok, kQueued);
-  // One full batch of kMaxBatchSize, then the eight left over.
-  EXPECT_EQ(stats.batches - held.batches, 2u);
-  EXPECT_DOUBLE_EQ(stats.batch_occupancy.sum - held.batch_occupancy.sum,
-                   double(kQueued));
-}
-
 TEST(BatchingQueue, ExpiredDeadlineGetsTimeoutWithoutClassification) {
   serve::InferenceServer server(FastOptions());
   server.AddModel("gp", TrainedCopy());
@@ -230,9 +152,9 @@ TEST(BatchingQueue, ExpiredDeadlineGetsTimeoutWithoutClassification) {
 }
 
 TEST(BatchingQueue, LoneRequestWithShortTimeoutIsClassified) {
-  // A free dispatcher scores a lone request at once, so a 1 ms deadline
-  // is met whenever the dispatcher wakes within it. Requiring only half
-  // of the calls leaves room for loaded or sanitized hosts.
+  // A lone request is scored at once on the calling thread, so a 1 ms
+  // deadline is met unless the thread is descheduled past it. Requiring
+  // only half of the calls leaves room for loaded or sanitized hosts.
   serve::InferenceServer server;
   server.AddModel("gp", TrainedCopy());
   int ok = 0;
@@ -244,70 +166,56 @@ TEST(BatchingQueue, LoneRequestWithShortTimeoutIsClassified) {
   EXPECT_GE(ok, 10);
 }
 
-TEST(BatchingQueue, AdmissionControlShedsBeyondQueueDepth) {
-  serve::ServerOptions options = FastOptions();
-  options.batching.max_queue_depth = 4;
-  serve::InferenceServer server(options);
-  server.AddModel("gp", TrainedCopy());
-  DispatcherHold hold(server);
-  const serve::StatsSnapshot held = server.Stats();
-
-  // The held dispatcher leaves all ten submissions queued: entries 5..
-  // see a full queue and are shed.
-  std::vector<std::future<serve::ClassifyResult>> futures;
-  for (int i = 0; i < 10; ++i) {
-    futures.push_back(server.ClassifyAsync(
-        "gp", Fixture().split.test[0].values, milliseconds(5000)));
-  }
-  hold.Release();
-  int ok = 0;
-  int overloaded = 0;
-  for (auto& f : futures) {
-    const serve::StatusCode status = f.get().status;
-    ok += status == serve::StatusCode::kOk;
-    overloaded += status == serve::StatusCode::kOverloaded;
-  }
-  EXPECT_EQ(ok, 4);
-  EXPECT_EQ(overloaded, 6);
-  const serve::StatsSnapshot stats = server.Stats();
-  EXPECT_EQ(stats.shed, 6u);
-  EXPECT_EQ(stats.admitted - held.admitted, 4u);
-}
-
 TEST(BatchingQueue, ShutdownDrainsAdmittedAndRejectsNew) {
   serve::InferenceServer server(FastOptions());
   server.AddModel("gp", TrainedCopy());
-  DispatcherHold hold(server);
-
   const auto& values = Fixture().split.test[0].values;
-  std::vector<std::future<serve::ClassifyResult>> futures;
-  for (int i = 0; i < 6; ++i) {
-    futures.push_back(server.ClassifyAsync("gp", values, milliseconds(5000)));
-  }
-  // Shutdown returns only after the drain, so it runs on its own thread.
-  // The hold is released once a probe is rejected with kShutdown, so the
-  // queued requests are drained by Shutdown every time. Probes admitted
-  // before that queue behind the six and are drained with them.
-  std::thread stopper([&] { server.Shutdown(); });
-  for (;;) {
-    std::future<serve::ClassifyResult> probe =
-        server.ClassifyAsync("gp", values, milliseconds(5000));
-    // Only a rejection completes while the dispatcher is held.
-    if (probe.wait_for(milliseconds(0)) == std::future_status::ready) {
-      EXPECT_EQ(probe.get().status, serve::StatusCode::kShutdown);
-      break;
-    }
-    futures.push_back(std::move(probe));
-    std::this_thread::sleep_for(milliseconds(1));
-  }
-  hold.Release();
-  stopper.join();
-  for (auto& f : futures) {
-    EXPECT_EQ(f.get().status, serve::StatusCode::kOk);
-  }
+  // A request runs to completion on its caller's thread, so one admitted
+  // before Shutdown has completed by the time Shutdown is called.
+  EXPECT_EQ(server.Classify("gp", values).status, serve::StatusCode::kOk);
+  server.Shutdown();
   const serve::ClassifyResult rejected =
       server.Classify("gp", values, milliseconds(100));
   EXPECT_EQ(rejected.status, serve::StatusCode::kShutdown);
+  EXPECT_EQ(server.HandleLine("CLASSIFY gp 1,2,3"), "ERR SHUTDOWN");
+  const serve::StatsSnapshot stats = server.Stats();
+  EXPECT_EQ(stats.admitted, 1u);
+  EXPECT_EQ(stats.ok, 1u);
+  EXPECT_EQ(stats.rejected_shutdown, 2u);
+}
+
+TEST(InferenceServer, ClassifyReadLongerAgoThanItsTimeoutIsNotScored) {
+  serve::InferenceServer server(FastOptions());
+  server.AddModel("gp", TrainedCopy());
+  serve::Request request;
+  request.verb = net::BinaryVerb::kClassify;
+  request.name = "gp";
+  request.values = Fixture().split.test[0].values;
+  request.timeout = milliseconds(5);
+  const auto scans = [] {
+    return obs::DefaultRegistry().Snapshot().Count("rpm_matcher_scans_total");
+  };
+
+  // Read 6 ms ago with a 5 ms timeout: its deadline has passed before
+  // scoring could start, so the engine never sees it.
+  const std::uint64_t scans_before = scans();
+  const serve::Reply late = server.Dispatch(
+      request, 0, serve::InferenceServer::Clock::now() - milliseconds(6));
+  EXPECT_EQ(late.status, serve::StatusCode::kTimeout);
+  EXPECT_EQ(scans(), scans_before);
+  serve::StatsSnapshot stats = server.Stats();
+  EXPECT_EQ(stats.admitted, 1u);
+  EXPECT_EQ(stats.timeout, 1u);
+  EXPECT_EQ(stats.ok, 0u);
+
+  // The same request read just now is scored.
+  const serve::Reply fresh =
+      server.Dispatch(request, 0, serve::InferenceServer::Clock::now());
+  EXPECT_EQ(fresh.status, serve::StatusCode::kOk);
+  EXPECT_EQ(fresh.label, Fixture().classifier.Classify(request.values));
+  EXPECT_GT(scans(), scans_before);
+  stats = server.Stats();
+  EXPECT_EQ(stats.admitted, stats.ok + stats.timeout);
 }
 
 TEST(InferenceServer, MatchesOfflineClassifierOnWholeTestSet) {
@@ -373,6 +281,81 @@ TEST(InferenceServer, ProtocolRoundTrip) {
   EXPECT_EQ(server.HandleLine("UNLOAD gp"),
             "ERR NOT_FOUND no model named 'gp'");
   EXPECT_EQ(server.HandleLine("QUIT"), "OK bye");
+}
+
+// ---------------- Text codec number parsing ----------------
+
+// The text codec's value parser as it was before it read fields in place
+// with from_chars: the reference the codec must match, field for field
+// and bit for bit.
+bool ReferenceParseValues(const std::string& text, ts::Series* out) {
+  out->clear();
+  std::string normalized = text;
+  std::replace(normalized.begin(), normalized.end(), ',', ' ');
+  std::istringstream fields(normalized);
+  std::string token;
+  while (fields >> token) {
+    char* end = nullptr;
+    const double v = std::strtod(token.c_str(), &end);
+    if (end == nullptr || *end != '\0') return false;
+    out->push_back(v);
+  }
+  return !out->empty();
+}
+
+// `csv` (no whitespace) through both series-carrying verbs: accepted
+// exactly when the reference accepts it, with the same bits per value.
+void ExpectSameParse(const std::string& csv) {
+  ts::Series expected;
+  const bool accepted = ReferenceParseValues(csv, &expected);
+  for (const std::string verb : {"CLASSIFY m ", "STREAM_FEED s1 "}) {
+    serve::Request request;
+    const std::string error = serve::ParseLine(verb + csv, &request);
+    ASSERT_EQ(error.empty(), accepted) << verb << csv << " -> " << error;
+    if (!accepted) continue;
+    ASSERT_EQ(request.values.size(), expected.size()) << verb << csv;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(request.values[i]),
+                std::bit_cast<std::uint64_t>(expected[i]))
+          << verb << csv << " field " << i;
+    }
+  }
+}
+
+TEST(TextCodec, ValuesParseLikeTheStrtodReference) {
+  for (const char* csv :
+       {"+1", "-.5e-3", "0x1p3", "inf", "nan", "1e", "+-1", "1,,2", ",1,",
+        "-nan", "NaN", "nan(123)", "INFINITY", "-inf", "infin", "1e400",
+        "-1e400", "1e-400", "4.9e-324", "2.2250738585072011e-308", "0.1",
+        "0.30000000000000004", "9007199254740993", "1.", ".", "-", "e5",
+        "1e+5", "1e+", "0x", "-0x1.8p-3", "-0", "--1", "1..2", "1.5e",
+        ",", ",,", "1,2,3", "1,x,3", "abc"}) {
+    ExpectSameParse(csv);
+  }
+  // Random fields: printed doubles in several formats, and junk from the
+  // characters a number can contain.
+  ts::Rng rng(20261019);
+  const std::string junk = "0123456789+-.eExXpPaAnNiIfFtTyY()";
+  const char* formats[] = {"%.17g", "%a", "%g", "%.3e", "%f", "%.0f"};
+  for (int c = 0; c < 3000; ++c) {
+    std::string csv;
+    const std::int64_t fields = rng.UniformInt(1, 4);
+    for (std::int64_t f = 0; f < fields; ++f) {
+      if (f > 0) csv += ',';
+      if (rng.Bernoulli(0.7)) {
+        const double v = rng.Gaussian() * std::pow(10.0, rng.UniformInt(-320, 320));
+        char buf[512];
+        std::snprintf(buf, sizeof(buf), formats[rng.UniformInt(0, 5)], v);
+        csv += buf;
+      } else {
+        for (std::int64_t k = rng.UniformInt(1, 8); k > 0; --k) {
+          csv += junk[std::size_t(
+              rng.UniformInt(0, std::int64_t(junk.size()) - 1))];
+        }
+      }
+    }
+    ExpectSameParse(csv);
+  }
 }
 
 // ---------------- LineAssembler (connection framing) ----------------
@@ -461,8 +444,7 @@ TEST(ServeConcurrency, ClientsHammerWhileModelHotReloads) {
 
   const serve::StatsSnapshot stats = server.Stats();
   EXPECT_EQ(stats.ok, std::uint64_t(kClients * kRequestsPerClient));
-  EXPECT_EQ(stats.shed, 0u);
-  EXPECT_LE(stats.batches, stats.ok);
+  EXPECT_EQ(stats.admitted, stats.ok);
 }
 
 }  // namespace
