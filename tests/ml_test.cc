@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <numbers>
+#include <sstream>
+#include <string>
 
 #include "ml/cross_validation.h"
 #include "ml/feature_dataset.h"
@@ -115,6 +119,159 @@ TEST(Svm, SingleClassFallsBackToConstant) {
   SvmClassifier svm;
   svm.Train(d);
   EXPECT_EQ(svm.Predict(std::vector<double>{99.0}), 7);
+}
+
+// ---------------- SVM fit pins ----------------
+//
+// Each pin is the FNV-1a digest of the text Save writes. Save prints 17
+// significant digits, so a digest covers every alpha*y, bias, feature
+// moment and support vector exactly: an SMO change that moves one
+// multiplier by one bit moves the digest. The pins were recorded from the
+// SMO whose decision function summed all n multipliers.
+
+std::uint64_t Fnv1a(const std::string& bytes,
+                    std::uint64_t h = 14695981039346656037ull) {
+  for (const unsigned char c : bytes) h = (h ^ c) * 1099511628211ull;
+  return h;
+}
+
+std::string SavedText(const FeatureDataset& d, const SvmOptions& opt) {
+  SvmClassifier svm(opt);
+  svm.Train(d);
+  std::ostringstream out;
+  svm.Save(out);
+  return out.str();
+}
+
+// Support vectors of each class-pair machine, read back from saved text.
+std::vector<std::size_t> SupportCounts(const std::string& text) {
+  std::istringstream in(text);
+  std::string tag;
+  double skip = 0.0;
+  std::size_t d = 0;
+  std::size_t models = 0;
+  in >> tag >> skip >> skip >> skip >> skip >> tag >> d;
+  for (std::size_t i = 0; i < 2 * d; ++i) in >> skip;
+  in >> tag >> models;
+  std::vector<std::size_t> counts(models);
+  for (std::size_t& count : counts) {
+    in >> skip >> skip >> skip >> count;
+    for (std::size_t i = 0; i < count * (d + 1); ++i) in >> skip;
+  }
+  EXPECT_TRUE(in) << "unparsable model text";
+  return counts;
+}
+
+// `classes` Gaussian blobs of `per_class` rows in `dims` >= 2 features
+// with unit standard deviation. The class centres lie evenly on a circle
+// of radius `radius` in the first two features; the other features' centre
+// coordinates are seeded draws with standard deviation 1.
+FeatureDataset Blobs(std::size_t classes, std::size_t per_class,
+                     std::size_t dims, double radius, std::uint64_t seed) {
+  ts::Rng rng(seed);
+  std::vector<std::vector<double>> centres(classes);
+  for (std::size_t c = 0; c < classes; ++c) {
+    const double angle = 2.0 * std::numbers::pi * static_cast<double>(c) /
+                         static_cast<double>(classes);
+    centres[c] = {radius * std::cos(angle), radius * std::sin(angle)};
+    for (std::size_t f = 2; f < dims; ++f) {
+      centres[c].push_back(rng.Gaussian());
+    }
+  }
+  FeatureDataset d;
+  for (std::size_t i = 0; i < per_class; ++i) {
+    for (std::size_t c = 0; c < classes; ++c) {
+      std::vector<double> row;
+      for (double m : centres[c]) row.push_back(m + rng.Gaussian());
+      d.Add(std::move(row), static_cast<int>(c) + 1);
+    }
+  }
+  return d;
+}
+
+FeatureDataset NoisyXor(std::size_t n, std::uint64_t seed) {
+  ts::Rng rng(seed);
+  FeatureDataset d;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = rng.Bernoulli(0.5) ? 1.0 : -1.0;
+    const double y = rng.Bernoulli(0.5) ? 1.0 : -1.0;
+    d.Add({x + rng.Gaussian(0, 0.3), y + rng.Gaussian(0, 0.3)},
+          x * y > 0 ? 1 : 2);
+  }
+  return d;
+}
+
+TEST(SvmPin, LinearKernel) {
+  EXPECT_EQ(Fnv1a(SavedText(Blobs(3, 40, 4, 1.5, 11), SvmOptions{})),
+            0xeaece1f596e2d0b3ull);
+}
+
+TEST(SvmPin, RbfKernel) {
+  SvmOptions opt;
+  opt.kernel = KernelKind::kRbf;
+  opt.c = 10.0;
+  opt.max_iterations = 5000;
+  EXPECT_EQ(Fnv1a(SavedText(NoisyXor(80, 12), opt)), 0xd0f10fc73b1d33c3ull);
+}
+
+TEST(SvmPin, PolynomialKernel) {
+  SvmOptions opt;
+  opt.kernel = KernelKind::kPolynomial;
+  opt.poly_degree = 3;
+  opt.c = 5.0;
+  opt.max_iterations = 5000;
+  EXPECT_EQ(Fnv1a(SavedText(NoisyXor(80, 13), opt)), 0xf869237551f61891ull);
+}
+
+TEST(SvmPin, ArchiveShapeMostMultipliersEndAtZero) {
+  // The shape of an archive fit: 3 classes of 200 rows, 2-7 pattern
+  // features, so each class-pair machine has n = 400 multipliers.
+  std::uint64_t digest = Fnv1a("");
+  for (std::size_t dims = 2; dims <= 7; ++dims) {
+    const std::string text =
+        SavedText(Blobs(3, 200, dims, 2.5, 20 + dims), SvmOptions{});
+    for (std::size_t count : SupportCounts(text)) {
+      EXPECT_LT(count, 100u) << "dims " << dims;
+    }
+    digest = Fnv1a(text, digest);
+  }
+  EXPECT_EQ(digest, 0x555377960fb0ce18ull);
+}
+
+TEST(SvmPin, IterationCapStopsTheLoop) {
+  const FeatureDataset d = Blobs(2, 60, 3, 0.5, 14);
+  SvmOptions capped;
+  capped.max_iterations = 3;
+  const std::string text = SavedText(d, capped);
+  EXPECT_NE(text, SavedText(d, SvmOptions{}));  // the cap bound
+  EXPECT_EQ(Fnv1a(text), 0x94d2ce1dd7529bb8ull);
+}
+
+TEST(SvmPin, RandomSweep) {
+  // 100 small random sets across every kernel: n from 4 to 120,
+  // 2 to 6 classes, folded into one digest.
+  ts::Rng rng(15);
+  std::uint64_t digest = Fnv1a("");
+  for (int set = 0; set < 100; ++set) {
+    const auto n = static_cast<std::size_t>(rng.UniformInt(4, 120));
+    const auto classes = rng.UniformInt(2, 6);
+    const auto dims = static_cast<std::size_t>(rng.UniformInt(1, 6));
+    FeatureDataset d;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto label = static_cast<int>(rng.UniformInt(1, classes));
+      std::vector<double> row;
+      for (std::size_t f = 0; f < dims; ++f) {
+        row.push_back(rng.Gaussian(0.7 * label * (f % 2 == 0 ? 1 : -1), 1.0));
+      }
+      d.Add(std::move(row), label);
+    }
+    SvmOptions opt;
+    opt.kernel = static_cast<KernelKind>(set % 3);
+    opt.c = rng.Uniform(0.1, 10.0);
+    opt.poly_degree = 2 + set % 2;
+    digest = Fnv1a(SavedText(d, opt), digest);
+  }
+  EXPECT_EQ(digest, 0x34014b5840c5c6c8ull);
 }
 
 // ---------------- Feature selection ----------------
