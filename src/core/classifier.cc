@@ -75,7 +75,11 @@ void RpmClassifier::Train(const ts::Dataset& train) {
   engine_.emplace(patterns_);
   feature_classifier_ = ml::MakeFeatureClassifier(
       options_.final_classifier, options_.svm, options_.knn_k);
-  feature_classifier_->Train(engine_->Apply(train, options_.num_threads));
+  const ml::FeatureDataset rows = engine_->Apply(train, options_.num_threads);
+  {
+    ScopedPhaseTimer timer(PhaseProfile::kSvm);
+    feature_classifier_->Train(rows);
+  }
   if (!feature_classifier_->trained()) engine_.reset();
   report_.classifier_fit_seconds = seconds_since(t0);
   trained_ = true;

@@ -40,7 +40,9 @@ class PhaseProfile {
     kClustering,          // iterative 2-way splitting incl. the matrix
     kSelection,           // stage 0: DIRECT SAX parameter selection
     kTransform,           // pattern-to-feature transform (best-match scans)
-    kSvm,                 // SVM training/prediction (selection CV + final fit)
+    kSvm,                 // feature-classifier fits: selection CV + final
+                          // fit (a k-NN or naive-Bayes final classifier
+                          // is charged here too)
     kDistinct,            // similar-candidate removal (tau threshold + tests)
     kShapelets,           // shapelet-baseline candidate scans (ST/FS eval)
     kNumPhases,

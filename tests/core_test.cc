@@ -7,6 +7,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "core/phase_profile.h"
 #include "core/rpm.h"
 #include "ts/generators.h"
 #include "ts/rng.h"
@@ -331,6 +332,21 @@ TEST(Classifier, MovedMajorityModelsKeepTheFallback) {
     train.Add(label, std::move(s));
   }
   EXPECT_FALSE(MovedModelsAgree(FastOptions(), train, train));
+}
+
+TEST(PhaseProfile, FinalFitIsChargedToTheSvmPhase) {
+  // kFixed runs no selection CV, so the final fit is the only SVM work.
+  const ts::DatasetSplit cbf = ts::MakeCbf(10, 1, 128, 21);
+  RpmClassifier clf(FastOptions());
+  PhaseProfile::Reset();
+  PhaseProfile::Enable(true);
+  clf.Train(cbf.train);
+  PhaseProfile::Enable(false);
+  const auto totals = PhaseProfile::Totals();
+  PhaseProfile::Reset();
+  ASSERT_FALSE(clf.patterns().empty());
+  EXPECT_GT(totals[PhaseProfile::kSvm], 0.0);
+  EXPECT_GT(totals[PhaseProfile::kTransform], 0.0);
 }
 
 TEST(Classifier, PerClassSaxRecorded) {
