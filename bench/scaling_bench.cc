@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/rpm.h"
+#include "harness.h"
 #include "ts/dataset_io.h"
 #include "ts/generators.h"
 #include "ts/parallel.h"
@@ -97,13 +98,14 @@ int ArchiveSweep(std::size_t max_series, const std::string& workdir) {
   }
   std::fprintf(f,
                "{\n"
+               "  \"host\": %s,\n"
                "  \"bench\": \"archive_scaling\",\n"
                "  \"family\": \"CBF\",\n"
                "  \"length\": %zu,\n"
                "  \"max_train_per_class\": %zu,\n"
                "  \"discovery_sample_per_class\": %zu,\n"
                "  \"rows\": [\n",
-               kLength, kTrainCap, kDiscoveryCap);
+               bench::HostJson().c_str(), kLength, kTrainCap, kDiscoveryCap);
 
   bool first = true;
   for (std::size_t n : sizes) {

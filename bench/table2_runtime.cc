@@ -251,7 +251,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write BENCH_table2.json\n");
       return 1;
     }
-    std::fprintf(f, "{\n  \"datasets\": [\n");
+    std::fprintf(f, "{\n  \"host\": %s,\n  \"datasets\": [\n",
+                 bench::HostJson().c_str());
     for (std::size_t i = 0; i < datasets.size(); ++i) {
       std::map<std::string, double> total;
       for (const auto& m : methods) {
