@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "distance/euclidean.h"
 #include "sax/sax.h"
@@ -13,6 +17,200 @@
 
 namespace rpm::sax {
 namespace {
+
+// ---------------- Reference discretizer ----------------
+//
+// The one-pass discretizer as first written, kept here as the oracle the
+// library's PAA and sliding-window SAX must reproduce bit for bit: each
+// window copied and z-normalized in place, then PAA by the direct
+// fractional-boundary loop (every input point adds its overlap-weighted
+// value to each segment it covers, in point order), then symbol binning.
+
+ts::Series RefPaa(ts::SeriesView values, std::size_t segments) {
+  ts::Series out(segments, 0.0);
+  const std::size_t n = values.size();
+  if (n == 0 || segments == 0) return out;
+  if (segments >= n) {
+    for (std::size_t i = 0; i < segments; ++i) {
+      out[i] = values[i * n / segments];
+    }
+    return out;
+  }
+  std::vector<double> weight(segments, 0.0);
+  const double seg_width = static_cast<double>(n) / segments;
+  for (std::size_t j = 0; j < n; ++j) {
+    const double lo = static_cast<double>(j);
+    const double hi = lo + 1.0;
+    auto first = static_cast<std::size_t>(lo / seg_width);
+    first = std::min(first, segments - 1);
+    for (std::size_t s = first; s < segments; ++s) {
+      const double seg_lo = s * seg_width;
+      const double seg_hi = seg_lo + seg_width;
+      const double overlap = std::min(hi, seg_hi) - std::max(lo, seg_lo);
+      if (overlap <= 0.0) break;
+      out[s] += values[j] * overlap;
+      weight[s] += overlap;
+    }
+  }
+  for (std::size_t s = 0; s < segments; ++s) {
+    if (weight[s] > 0.0) out[s] /= weight[s];
+  }
+  return out;
+}
+
+std::string RefSaxWord(ts::SeriesView znormed, std::size_t paa_size,
+                       int alphabet) {
+  const ts::Series paa = RefPaa(znormed, paa_size);
+  const auto& bps = GaussianBreakpoints(alphabet);
+  std::string word(paa_size, 'a');
+  for (std::size_t i = 0; i < paa_size; ++i) {
+    const auto it = std::upper_bound(bps.begin(), bps.end(), paa[i]);
+    word[i] = static_cast<char>('a' + (it - bps.begin()));
+  }
+  return word;
+}
+
+std::vector<SaxRecord> RefDiscretize(ts::SeriesView series,
+                                     const SaxOptions& options) {
+  std::vector<SaxRecord> out;
+  if (options.window == 0 || series.size() < options.window) return out;
+  const std::size_t count = series.size() - options.window + 1;
+  ts::Series buf;
+  for (std::size_t pos = 0; pos < count; ++pos) {
+    const ts::SeriesView window = series.subspan(pos, options.window);
+    std::string word;
+    if (options.znormalize) {
+      buf.assign(window.begin(), window.end());
+      ts::ZNormalizeInPlace(buf);
+      word = RefSaxWord(buf, options.paa_size, options.alphabet);
+    } else {
+      word = RefSaxWord(window, options.paa_size, options.alphabet);
+    }
+    if (options.numerosity_reduction && !out.empty() &&
+        out.back().word == word) {
+      continue;
+    }
+    out.push_back(SaxRecord{std::move(word), pos});
+  }
+  return out;
+}
+
+// A series that mixes every window regime: Gaussian noise, exactly flat
+// runs, near-flat runs (noise far below kFlatThreshold, and noise just
+// around it) and steps, so windows land on both sides of the flat rule.
+ts::Series MixedSeries(std::size_t length, std::uint64_t seed) {
+  ts::Rng rng(seed);
+  ts::Series s(length);
+  std::size_t i = 0;
+  while (i < length) {
+    const auto run = static_cast<std::size_t>(rng.UniformInt(3, 40));
+    const std::int64_t kind = rng.UniformInt(0, 4);
+    const double level = rng.Gaussian(0.0, 3.0);
+    for (std::size_t k = 0; k < run && i < length; ++k, ++i) {
+      switch (kind) {
+        case 0: s[i] = level; break;
+        case 1: s[i] = level + rng.Gaussian(0.0, 1e-12); break;
+        case 2: s[i] = level + rng.Gaussian(0.0, 1e-8); break;
+        default: s[i] = level + rng.Gaussian(); break;
+      }
+    }
+  }
+  return s;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(ReferenceSweep, PaaRowsBitIdentical) {
+  // Every (window, paa) pair with window 1-64 and paa 1 to window + 2,
+  // which covers the upsample branch (paa >= window), over z-normalized
+  // and raw windows of a mixed series.
+  const ts::Series series = MixedSeries(160, 31);
+  for (std::size_t window = 1; window <= 64; ++window) {
+    for (const bool znorm : {true, false}) {
+      const WindowMatrix rows = SlidingWindows(series, window, znorm);
+      for (std::size_t paa = 1; paa <= window + 2; ++paa) {
+        const PaaMatrix got = PaaRows(rows, paa);
+        ASSERT_EQ(got.count, rows.count);
+        for (std::size_t i = 0; i < rows.count; i += 3) {
+          const ts::Series want = RefPaa(rows.Row(i), paa);
+          const ts::Series one = Paa(rows.Row(i), paa);
+          ASSERT_EQ(one.size(), paa);
+          for (std::size_t s = 0; s < paa; ++s) {
+            ASSERT_TRUE(SameBits(got.Row(i)[s], want[s]))
+                << "window " << window << " paa " << paa << " row " << i;
+            ASSERT_TRUE(SameBits(one[s], want[s]))
+                << "window " << window << " paa " << paa << " row " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ReferenceSweep, RecordsBitIdentical) {
+  // Records of the library's one-pass and staged paths against the
+  // reference, for every window 1-64 and paa 1 to window + 2. Each pair
+  // runs all four (z-normalize, numerosity) settings; the alphabet walks
+  // 2-26 across pairs so every size meets many shapes.
+  std::size_t pairs = 0;
+  for (std::size_t window = 1; window <= 64; ++window) {
+    const ts::Series series = MixedSeries(window + 48, 100 + window);
+    const ts::Series short_series = MixedSeries(window - 1, 7);
+    for (std::size_t paa = 1; paa <= window + 2; ++paa, ++pairs) {
+      const int alphabet = kMinAlphabet + static_cast<int>(pairs % 25);
+      for (const bool znorm : {true, false}) {
+        for (const bool numerosity : {true, false}) {
+          SaxOptions opt;
+          opt.window = window;
+          opt.paa_size = paa;
+          opt.alphabet = alphabet;
+          opt.znormalize = znorm;
+          opt.numerosity_reduction = numerosity;
+          const std::vector<SaxRecord> want = RefDiscretize(series, opt);
+          ASSERT_EQ(DiscretizeSlidingWindow(series, opt), want)
+              << "window " << window << " paa " << paa << " alphabet "
+              << alphabet << " znorm " << znorm << " nr " << numerosity;
+          const std::vector<SaxRecord> staged = RecordsFromPaa(
+              PaaRows(SlidingWindows(series, window, znorm), paa), alphabet,
+              numerosity);
+          ASSERT_EQ(staged, want)
+              << "window " << window << " paa " << paa << " alphabet "
+              << alphabet << " znorm " << znorm << " nr " << numerosity;
+          EXPECT_TRUE(DiscretizeSlidingWindow(short_series, opt).empty());
+        }
+      }
+    }
+  }
+  // Every alphabet size at one long, varied series.
+  const ts::Series series = MixedSeries(600, 5);
+  for (int alphabet = kMinAlphabet; alphabet <= kMaxAlphabet; ++alphabet) {
+    SaxOptions opt;
+    opt.window = 24;
+    opt.paa_size = 7;
+    opt.alphabet = alphabet;
+    EXPECT_EQ(DiscretizeSlidingWindow(series, opt),
+              RefDiscretize(series, opt))
+        << alphabet;
+  }
+}
+
+TEST(ReferenceSweep, SaxWordBitIdentical) {
+  const ts::Series series = MixedSeries(200, 77);
+  for (std::size_t len : {1u, 2u, 5u, 16u, 33u, 64u}) {
+    for (std::size_t paa = 1; paa <= len + 2; ++paa) {
+      for (std::size_t pos = 0; pos + len <= series.size(); pos += 29) {
+        ts::Series w(series.begin() + static_cast<std::ptrdiff_t>(pos),
+                     series.begin() + static_cast<std::ptrdiff_t>(pos + len));
+        ts::ZNormalizeInPlace(w);
+        const int alphabet = kMinAlphabet + static_cast<int>((pos + paa) % 25);
+        ASSERT_EQ(SaxWord(w, paa, alphabet), RefSaxWord(w, paa, alphabet))
+            << "len " << len << " paa " << paa << " pos " << pos;
+      }
+    }
+  }
+}
 
 TEST(Breakpoints, KnownValues) {
   // Classic SAX table: alphabet 4 -> {-0.6745, 0, 0.6745} (quartiles).
