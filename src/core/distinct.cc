@@ -165,7 +165,8 @@ std::vector<PatternCandidate> RemoveSimilarCandidates(
 
 std::vector<RepresentativePattern> FindDistinctPatterns(
     const ts::Dataset& train, const std::vector<PatternCandidate>& candidates,
-    const RpmOptions& options) {
+    const RpmOptions& options, ml::FeatureDataset* selected_rows) {
+  if (selected_rows != nullptr) *selected_rows = ml::FeatureDataset{};
   if (candidates.empty()) return {};
   const std::vector<PatternCandidate> pruned = [&] {
     // The tau threshold and the O(K^2) similarity tests are the
@@ -180,12 +181,16 @@ std::vector<RepresentativePattern> FindDistinctPatterns(
   // Transform the training data into candidate-distance features and let
   // CFS pick the discriminative subset.
   const std::vector<RepresentativePattern> all = AsPatterns(pruned);
-  const ml::FeatureDataset transformed = TransformEngine(all).Apply(train);
+  const ml::FeatureDataset transformed =
+      TransformEngine(all).Apply(train, options.num_threads);
   const std::vector<std::size_t> selected = ml::CfsSelect(transformed);
 
   std::vector<RepresentativePattern> out;
   out.reserve(selected.size());
   for (std::size_t idx : selected) out.push_back(all[idx]);
+  if (selected_rows != nullptr) {
+    *selected_rows = transformed.SelectColumns(selected);
+  }
   return out;
 }
 

@@ -12,6 +12,7 @@
 
 #include "core/options.h"
 #include "core/pattern.h"
+#include "ml/feature_dataset.h"
 #include "ts/series.h"
 
 namespace rpm::core {
@@ -32,10 +33,15 @@ std::vector<PatternCandidate> RemoveSimilarCandidates(
     const std::vector<PatternCandidate>& candidates, double tau);
 
 /// Full Algorithm 2: returns the selected representative patterns.
-/// `train` is the complete training set (all classes).
+/// `train` is the complete training set (all classes); its transform
+/// against the pruned candidates runs on `options.num_threads`. When
+/// `selected_rows` is given it receives that transform's columns of the
+/// selected patterns, in their order: the rows TransformEngine(result)
+/// would compute for `train`, bit for bit, since a pattern's distance
+/// does not depend on the other patterns in the store.
 std::vector<RepresentativePattern> FindDistinctPatterns(
     const ts::Dataset& train, const std::vector<PatternCandidate>& candidates,
-    const RpmOptions& options);
+    const RpmOptions& options, ml::FeatureDataset* selected_rows = nullptr);
 
 }  // namespace rpm::core
 

@@ -407,18 +407,23 @@ std::string EncodeTextRequest(const FuzzRequest& req,
   if (verb == "UNLOAD") return "UNLOAD " + req.model;
   if (verb == "CLASSIFY") {
     std::string line = "CLASSIFY " + req.model + " " + Csv(req.values);
-    if (req.timeout_ms != 0) line += " " + std::to_string(req.timeout_ms);
+    if (req.timeout_ms != 0) {
+      line.append(" ").append(std::to_string(req.timeout_ms));
+    }
     return line;
   }
   if (verb == "STREAM_OPEN") {
     std::string line =
         "STREAM_OPEN " + req.model + " " + std::to_string(req.window);
     if (req.hop != 0 || req.early_fraction != 0.0) {
-      line += " " + std::to_string(req.hop == 0 ? req.window : req.hop);
+      line.append(" ").append(
+          std::to_string(req.hop == 0 ? req.window : req.hop));
     }
     if (req.early_fraction != 0.0) {
-      line += " " + FormatDouble(req.early_fraction) + " " +
-              FormatDouble(req.early_margin);
+      line.append(" ")
+          .append(FormatDouble(req.early_fraction))
+          .append(" ")
+          .append(FormatDouble(req.early_margin));
     }
     return line;
   }

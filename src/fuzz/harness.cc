@@ -349,10 +349,15 @@ FuzzHarness::CaseResult FuzzHarness::Execute(const FuzzPlan& plan,
         const std::string wire = conn.binary
                                      ? EncodeBinaryRequest(req, "s#")
                                      : EncodeTextRequest(req, "s#");
-        events_.push_back(
-            "c" + std::to_string(c) + ".r" + std::to_string(r) + " " +
-            req.verb + " h=" +
-            std::to_string(HashBytes(kHashSeed, wire)));
+        std::string event = "c";
+        event.append(std::to_string(c))
+            .append(".r")
+            .append(std::to_string(r))
+            .append(" ")
+            .append(req.verb)
+            .append(" h=")
+            .append(std::to_string(HashBytes(kHashSeed, wire)));
+        events_.push_back(std::move(event));
       }
     }
   }

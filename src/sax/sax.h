@@ -4,7 +4,9 @@
 // equiprobable Gaussian breakpoints, applied over a sliding window with
 // numerosity reduction. DiscretizeSlidingWindow does it in one pass; the
 // staged functions below split it so parameter selection can reuse the
-// window and PAA matrices across SAX combos.
+// window and PAA matrices across SAX combos. Both paths z-normalize with
+// the same window helper and reduce through the one PaaPlan, so they
+// agree bit for bit.
 
 #ifndef RPM_SAX_SAX_H_
 #define RPM_SAX_SAX_H_
@@ -25,9 +27,45 @@ inline constexpr int kMaxAlphabet = 26;
 /// regions. Throws std::invalid_argument outside [kMinAlphabet, kMaxAlphabet].
 const std::vector<double>& GaussianBreakpoints(int alphabet);
 
-/// Piecewise Aggregate Approximation: mean of `segments` equal-width
-/// chunks. Handles lengths not divisible by `segments` with fractional
-/// (weighted) chunk boundaries, so every input point contributes.
+/// Piecewise Aggregate Approximation of `points`-long inputs to
+/// `segments` values: the mean of `segments` equal-width chunks. Lengths
+/// not divisible by `segments` get fractional (weighted) chunk
+/// boundaries, so every input point contributes; with `segments >=
+/// points` each output takes the covering input point instead.
+///
+/// The plan holds each segment's covering points and overlap weights,
+/// built once per shape and then applied to any number of windows.
+/// Apply gives each segment the additions of the direct fractional loop
+/// (every point adds `value * overlap` to each segment it covers, in
+/// point order) in the same order, so a segment's sum, its weight and
+/// their quotient are the same bits; `Paa`, `SaxWord`, `PaaRows` and
+/// `DiscretizeSlidingWindow` all reduce through it.
+class PaaPlan {
+ public:
+  PaaPlan(std::size_t points, std::size_t segments);
+
+  std::size_t points() const { return points_; }
+  std::size_t segments() const { return segments_; }
+
+  /// Writes the PAA of `values[0, points())` to `out[0, segments())`.
+  void Apply(const double* values, double* out) const;
+
+ private:
+  struct Term {
+    std::size_t point = 0;
+    double overlap = 0.0;
+  };
+
+  std::size_t points_ = 0;
+  std::size_t segments_ = 0;
+  bool upsample_ = false;               // segments >= points: copy points
+  std::vector<std::size_t> begin_;      // segment s: terms_[begin_[s], begin_[s+1])
+  std::vector<Term> terms_;             // covering points, ascending per segment
+  std::vector<double> weight_;          // per segment: summed overlap
+};
+
+/// PAA of one series through a PaaPlan; a zero vector when `values` is
+/// empty.
 ts::Series Paa(ts::SeriesView values, std::size_t segments);
 
 /// Maps one value to its SAX symbol ('a' + region index).
@@ -63,6 +101,11 @@ struct SaxOptions {
 /// Extracts every window of `options.window` points from `series`,
 /// discretizes each, and applies numerosity reduction. Returns an empty
 /// vector when the series is shorter than the window.
+///
+/// One window at a time into buffers made once per call (the window,
+/// its PAA, the word), so memory stays O(window) beyond the records and
+/// no window allocates: the records are those of the staged path below,
+/// bit for bit.
 std::vector<SaxRecord> DiscretizeSlidingWindow(ts::SeriesView series,
                                                const SaxOptions& options);
 
@@ -72,9 +115,10 @@ std::vector<SaxRecord> DiscretizeSlidingWindow(ts::SeriesView series,
 // matrix is shared by every (paa, alphabet) pair at a fixed window, the
 // PAA matrix by every alphabet at a fixed (window, paa). Each stage applies
 // exactly the per-window operations of the one-pass path, so composing
-// them reproduces DiscretizeSlidingWindow bit for bit (asserted by
-// training_cache_test). The stages run on the calling thread: parameter
-// selection already runs one (combo x split) pair per pool worker.
+// them reproduces DiscretizeSlidingWindow bit for bit (asserted against a
+// reference discretizer by sax_test). The stages run on the calling
+// thread: parameter selection already runs one (combo x split) pair per
+// pool worker.
 
 /// Stage 1: every sliding window of `series` as a row of a row-major
 /// `count x window` matrix, z-normalized per row when requested. `count`

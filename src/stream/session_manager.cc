@@ -64,7 +64,9 @@ StreamSessionManager::OpenResult StreamSessionManager::Open(
       result.error = "too many open streams";
       return result;
     }
-    result.id = "s" + std::to_string(next_id_);
+    std::string id(1, 's');
+    id.append(std::to_string(next_id_));
+    result.id = std::move(id);
     next_id_ += options_.id_stride;
     sessions_.emplace(result.id, std::move(session));
   }

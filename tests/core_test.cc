@@ -170,6 +170,39 @@ TEST(Distinct, EndToEndSelectsDiscriminativePatterns) {
   EXPECT_LE(patterns.size(), candidates.size());
 }
 
+TEST(Distinct, SelectedRowsEqualTheSelectedPatternsTransform) {
+  // The fit reuses selection's transform: the selected columns of the
+  // rows against every pruned candidate must be the rows against the
+  // selected patterns alone, bit for bit, at any thread count. Some
+  // patterns are longer than the shortest series, so the shrunk-pattern
+  // branch is covered too.
+  ts::Dataset train = PlantedMotifs(8, 150, 6);
+  train.Add(1, train[0].values);
+  train.Add(2, ts::Series(train[1].values.begin(),
+                          train[1].values.begin() + 24));
+  RpmOptions opt = FastOptions();
+  std::map<int, sax::SaxOptions> sax = {{1, TestSax()}, {2, TestSax()}};
+  const auto candidates = FindAllCandidates(train, sax, opt);
+  ASSERT_FALSE(candidates.empty());
+  for (std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    opt.num_threads = threads;
+    ml::FeatureDataset rows;
+    const auto patterns = FindDistinctPatterns(train, candidates, opt, &rows);
+    ASSERT_FALSE(patterns.empty());
+    const ml::FeatureDataset want = TransformEngine(patterns).Apply(train);
+    EXPECT_EQ(rows.y, want.y);
+    ASSERT_EQ(rows.x.size(), want.x.size());
+    for (std::size_t i = 0; i < want.x.size(); ++i) {
+      ASSERT_EQ(rows.x[i], want.x[i]) << "row " << i << ", " << threads
+                                      << " threads";
+    }
+  }
+  ml::FeatureDataset none;
+  none.Add({1.0}, 1);
+  EXPECT_TRUE(FindDistinctPatterns(train, {}, opt, &none).empty());
+  EXPECT_TRUE(none.empty());
+}
+
 TEST(Transform, FeatureRowShapeAndSeparability) {
   const ts::Dataset train = PlantedMotifs(8, 150, 5);
   const RpmOptions opt = FastOptions();

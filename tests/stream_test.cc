@@ -465,7 +465,7 @@ TEST(StreamProtocol, OpenFeedCloseRoundTrip) {
   const std::vector<double> feed = MakeFeed(1, 3333);
   std::string csv;
   for (std::size_t i = 0; i < 128; ++i) {
-    csv += (i == 0 ? "" : ",") + std::to_string(feed[i]);
+    csv.append(i == 0 ? "" : ",").append(std::to_string(feed[i]));
   }
   const std::string fed = server.HandleLine("STREAM_FEED " + id + " " + csv);
   EXPECT_EQ(fed.rfind("OK fed 128 decisions=2", 0), 0u) << fed;
@@ -519,7 +519,7 @@ TEST(StreamProtocol, SessionPinsModelAcrossHotReload) {
   const std::vector<double> feed = MakeFeed(1, 77);
   std::string csv;
   for (std::size_t i = 0; i < 64; ++i) {
-    csv += (i == 0 ? "" : ",") + std::to_string(feed[i]);
+    csv.append(i == 0 ? "" : ",").append(std::to_string(feed[i]));
   }
   const std::string fed = server.HandleLine("STREAM_FEED " + id + " " + csv);
   EXPECT_EQ(fed.rfind("OK fed 64 decisions=1", 0), 0u) << fed;
