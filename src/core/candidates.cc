@@ -7,7 +7,6 @@
 #include "cluster/hierarchical.h"
 #include "core/phase_profile.h"
 #include "core/sampling.h"
-#include "core/training_cache.h"
 #include "grammar/motifs.h"
 #include "ts/parallel.h"
 #include "ts/resample.h"
@@ -75,7 +74,7 @@ ConcatenatedClass ConcatenateForDiscovery(const ts::Dataset& train, int label,
 
 std::vector<PatternCandidate> FindClassCandidates(
     const ts::Dataset& train, int label, const sax::SaxOptions& sax_options,
-    const RpmOptions& options, TrainingCache* cache) {
+    const RpmOptions& options) {
   std::vector<PatternCandidate> candidates;
   const ConcatenatedClass cls = ConcatenateForDiscovery(train, label, options);
   if (cls.values.size() < sax_options.window || cls.num_instances == 0) {
@@ -87,9 +86,7 @@ std::vector<PatternCandidate> FindClassCandidates(
   std::vector<sax::SaxRecord> records;
   {
     ScopedPhaseTimer timer(PhaseProfile::kDiscretization);
-    records = cache != nullptr
-                  ? cache->Discretize(cls.values, sax)
-                  : sax::DiscretizeSlidingWindow(cls.values, sax);
+    records = sax::DiscretizeSlidingWindow(cls.values, sax);
   }
   std::vector<grammar::MotifCandidate> motifs;
   {
@@ -187,7 +184,7 @@ std::vector<PatternCandidate> FindClassCandidates(
 std::vector<PatternCandidate> FindAllCandidates(
     const ts::Dataset& train,
     const std::map<int, sax::SaxOptions>& sax_by_class,
-    const RpmOptions& options, TrainingCache* cache) {
+    const RpmOptions& options) {
   const std::vector<int> labels = train.ClassLabels();
   // Per-class slots keep the output order independent of thread count.
   std::vector<std::vector<PatternCandidate>> per_class(labels.size());
@@ -195,7 +192,7 @@ std::vector<PatternCandidate> FindAllCandidates(
     const auto it = sax_by_class.find(labels[i]);
     const sax::SaxOptions& sax =
         it != sax_by_class.end() ? it->second : options.fixed_sax;
-    per_class[i] = FindClassCandidates(train, labels[i], sax, options, cache);
+    per_class[i] = FindClassCandidates(train, labels[i], sax, options);
   });
   std::vector<PatternCandidate> all;
   for (auto& cls : per_class) {

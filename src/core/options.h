@@ -1,6 +1,4 @@
-// Configuration of the RPM classifier (Sections 3-4 knobs). Parameter
-// selection's discretization cache (core/training_cache.h) belongs to
-// the search itself and has no setting here.
+// Configuration of the RPM classifier (Sections 3-4 knobs).
 
 #ifndef RPM_CORE_OPTIONS_H_
 #define RPM_CORE_OPTIONS_H_

@@ -8,7 +8,6 @@
 
 #include "core/candidates.h"
 #include "core/phase_profile.h"
-#include "core/training_cache.h"
 #include "core/distinct.h"
 #include "core/transform.h"
 #include "ml/cross_validation.h"
@@ -137,7 +136,7 @@ class ComboEvaluator {
     RpmOptions inner = options_;
     inner.num_threads = 1;
     const std::vector<PatternCandidate> candidates =
-        FindAllCandidates(sub_train, sax_by_class, inner, &cache_);
+        FindAllCandidates(sub_train, sax_by_class, inner);
     if (candidates.empty()) return {};  // Pruned: contributes 0.
     const std::vector<RepresentativePattern> patterns =
         FindDistinctPatterns(sub_train, candidates, inner);
@@ -174,11 +173,6 @@ class ComboEvaluator {
 
   const ts::Dataset& train_;
   const RpmOptions& options_;
-  /// Window and PAA matrices shared by every combo this evaluator probes,
-  /// so each split's class series is windowed once per window length and
-  /// reduced once per (window, paa). Internally synchronized: the
-  /// concurrent split evaluations share it.
-  mutable TrainingCache cache_;
   std::vector<std::pair<ts::Dataset, ts::Dataset>> splits_;
   std::map<Key, std::map<int, double>> memo_;
 };
@@ -235,7 +229,7 @@ ParameterSelectionResult SelectSaxParameters(const ts::Dataset& train,
     }
     evaluator.Prewarm(lattice);
     for (const sax::SaxOptions& sax : lattice) consider(sax);
-  } else {  // kDirect: one 3-D search per class, shared cache.
+  } else {  // kDirect: one 3-D search per class, shared memo.
     opt::Bounds bounds;
     bounds.lower = {static_cast<double>(range.window_lo),
                     static_cast<double>(range.paa_lo),

@@ -2,8 +2,8 @@
 // (window, paa, alphabet) triple maximizing the class's F-measure under
 // repeated train/validation splits with an inner cross-validation
 // (Algorithm 3). Two engines: exhaustive grid (Section 4.1) and DIRECT
-// (Section 4.2, the paper's default), both sharing one evaluation cache —
-// one combo evaluation yields every class's F-measure at once.
+// (Section 4.2, the paper's default), both sharing one memo of combo
+// evaluations — one evaluation yields every class's F-measure at once.
 
 #ifndef RPM_CORE_PARAMETER_SELECTION_H_
 #define RPM_CORE_PARAMETER_SELECTION_H_

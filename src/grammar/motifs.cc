@@ -1,7 +1,9 @@
 #include "grammar/motifs.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <functional>
+#include <limits>
+#include <string>
 
 namespace rpm::grammar {
 
@@ -9,11 +11,30 @@ std::vector<std::uint32_t> TokensFromRecords(
     const std::vector<sax::SaxRecord>& records) {
   std::vector<std::uint32_t> tokens;
   tokens.reserve(records.size());
-  std::unordered_map<std::string, std::uint32_t> vocab;
-  for (const auto& rec : records) {
-    auto [it, inserted] =
-        vocab.try_emplace(rec.word, static_cast<std::uint32_t>(vocab.size()));
-    tokens.push_back(it->second);
+  // Open addressing with linear probing over a power-of-two table at
+  // least twice the record count, so it never fills. A slot holds the
+  // index of the record where its word first appeared; that record's
+  // token is the word's id.
+  constexpr std::size_t kEmpty = std::numeric_limits<std::size_t>::max();
+  std::size_t capacity = 1;
+  while (capacity < 2 * records.size()) capacity *= 2;
+  const std::size_t mask = capacity - 1;
+  std::vector<std::size_t> first_seen(capacity, kEmpty);
+  const std::hash<std::string> hash;
+  std::uint32_t next_id = 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const std::string& word = records[i].word;
+    std::size_t slot = hash(word) & mask;
+    while (first_seen[slot] != kEmpty &&
+           records[first_seen[slot]].word != word) {
+      slot = (slot + 1) & mask;
+    }
+    if (first_seen[slot] == kEmpty) {
+      first_seen[slot] = i;
+      tokens.push_back(next_id++);
+    } else {
+      tokens.push_back(tokens[first_seen[slot]]);
+    }
   }
   return tokens;
 }

@@ -220,11 +220,11 @@ void NormalizeWindow(const double* __restrict src, std::size_t w, double mu,
 }
 
 // Calls fn(pos, values) for every window position of `series`, in
-// order: `values` are the window's `w` points, z-normalized into
-// row_at(pos) when requested and read in place otherwise.
-template <typename RowAt, typename Fn>
+// order: `values` are the window's `w` points, z-normalized into `row`
+// when requested and read in place otherwise.
+template <typename Fn>
 void ForEachWindow(ts::SeriesView series, std::size_t w, bool znormalize,
-                   RowAt&& row_at, Fn&& fn) {
+                   double* row, Fn&& fn) {
   const std::size_t count = series.size() - w + 1;
   double mu[kMomentBlock];
   double sigma[kMomentBlock];
@@ -237,7 +237,6 @@ void ForEachWindow(ts::SeriesView series, std::size_t w, bool znormalize,
     }
     BlockMoments(src, w, block, mu, sigma);
     for (std::size_t b = 0; b < block; ++b) {
-      double* row = row_at(pos + b);
       NormalizeWindow(src + b, w, mu[b], sigma[b], row);
       fn(pos + b, static_cast<const double*>(row));
     }
@@ -274,7 +273,7 @@ std::vector<SaxRecord> DiscretizeSlidingWindow(ts::SeriesView series,
   std::string word(paa_size, 'a');
   out.reserve(series.size() - w + 1);
   ForEachWindow(
-      series, w, options.znormalize, [&](std::size_t) { return row.data(); },
+      series, w, options.znormalize, row.data(),
       [&](std::size_t pos, const double* values) {
         plan.Apply(values, paa.data());
         for (std::size_t s = 0; s < paa_size; ++s) {
@@ -287,56 +286,6 @@ std::vector<SaxRecord> DiscretizeSlidingWindow(ts::SeriesView series,
         }
         out.push_back(SaxRecord{word, pos});
       });
-  return out;
-}
-
-WindowMatrix SlidingWindows(ts::SeriesView series, std::size_t window,
-                            bool znormalize) {
-  WindowMatrix out;
-  out.window = window;
-  if (window == 0 || series.size() < window) return out;
-  out.count = series.size() - window + 1;
-  out.data.resize(out.count * window);
-  // Each row is written once, normalized straight from the source.
-  double* data = out.data.data();
-  ForEachWindow(
-      series, window, znormalize,
-      [&](std::size_t pos) { return data + pos * window; },
-      [&](std::size_t pos, const double* values) {
-        if (!znormalize) std::copy_n(values, window, data + pos * window);
-      });
-  return out;
-}
-
-PaaMatrix PaaRows(const WindowMatrix& windows, std::size_t paa_size) {
-  PaaMatrix out;
-  out.paa_size = paa_size;
-  out.count = windows.count;
-  out.data.resize(out.count * paa_size);  // Value-initialized to 0.0.
-  if (out.count == 0 || paa_size == 0 || windows.window == 0) return out;
-  const PaaPlan plan(windows.window, paa_size);
-  for (std::size_t i = 0; i < out.count; ++i) {
-    plan.Apply(windows.Row(i).data(), out.data.data() + i * paa_size);
-  }
-  return out;
-}
-
-std::vector<SaxRecord> RecordsFromPaa(const PaaMatrix& paa, int alphabet,
-                                      bool numerosity_reduction) {
-  std::vector<SaxRecord> out;
-  out.reserve(paa.count);
-  const auto& bps = GaussianBreakpoints(alphabet);
-  std::string word(paa.paa_size, 'a');
-  for (std::size_t i = 0; i < paa.count; ++i) {
-    const ts::SeriesView row = paa.Row(i);
-    for (std::size_t s = 0; s < paa.paa_size; ++s) {
-      word[s] = SymbolFromBreakpoints(row[s], bps);
-    }
-    if (numerosity_reduction && !out.empty() && out.back().word == word) {
-      continue;  // Record only the first of a run of identical words.
-    }
-    out.push_back(SaxRecord{word, i});
-  }
   return out;
 }
 

@@ -2,11 +2,9 @@
 // substrate of RPM's Step 1 (Section 3.2.1), SAX-VSM and Fast Shapelets:
 // PAA dimensionality reduction followed by symbol mapping against
 // equiprobable Gaussian breakpoints, applied over a sliding window with
-// numerosity reduction. DiscretizeSlidingWindow does it in one pass; the
-// staged functions below split it so parameter selection can reuse the
-// window and PAA matrices across SAX combos. Both paths z-normalize with
-// the same window helper and reduce through the one PaaPlan, so they
-// agree bit for bit.
+// numerosity reduction. DiscretizeSlidingWindow is the one sliding-window
+// discretizer: candidate mining (in parameter selection and in the final
+// training) and the SAX-VSM and bag-of-patterns baselines all call it.
 
 #ifndef RPM_SAX_SAX_H_
 #define RPM_SAX_SAX_H_
@@ -38,7 +36,7 @@ const std::vector<double>& GaussianBreakpoints(int alphabet);
 /// Apply gives each segment the additions of the direct fractional loop
 /// (every point adds `value * overlap` to each segment it covers, in
 /// point order) in the same order, so a segment's sum, its weight and
-/// their quotient are the same bits; `Paa`, `SaxWord`, `PaaRows` and
+/// their quotient are the same bits; `Paa`, `SaxWord` and
 /// `DiscretizeSlidingWindow` all reduce through it.
 class PaaPlan {
  public:
@@ -104,53 +102,9 @@ struct SaxOptions {
 ///
 /// One window at a time into buffers made once per call (the window,
 /// its PAA, the word), so memory stays O(window) beyond the records and
-/// no window allocates: the records are those of the staged path below,
-/// bit for bit.
+/// no window allocates.
 std::vector<SaxRecord> DiscretizeSlidingWindow(ts::SeriesView series,
                                                const SaxOptions& options);
-
-// --- Staged discretization -------------------------------------------------
-// DiscretizeSlidingWindow factored into its three stages so the
-// parameter-selection TrainingCache can keep the first two: the window
-// matrix is shared by every (paa, alphabet) pair at a fixed window, the
-// PAA matrix by every alphabet at a fixed (window, paa). Each stage applies
-// exactly the per-window operations of the one-pass path, so composing
-// them reproduces DiscretizeSlidingWindow bit for bit (asserted against a
-// reference discretizer by sax_test). The stages run on the calling
-// thread: parameter selection already runs one (combo x split) pair per
-// pool worker.
-
-/// Stage 1: every sliding window of `series` as a row of a row-major
-/// `count x window` matrix, z-normalized per row when requested. `count`
-/// is 0 when the series is shorter than the window.
-struct WindowMatrix {
-  std::size_t window = 0;
-  std::size_t count = 0;
-  ts::Series data;  ///< count * window values, row-major
-
-  ts::SeriesView Row(std::size_t i) const {
-    return ts::SeriesView(data.data() + i * window, window);
-  }
-};
-WindowMatrix SlidingWindows(ts::SeriesView series, std::size_t window,
-                            bool znormalize);
-
-/// Stage 2: PAA of every row; row-major `count x paa_size`.
-struct PaaMatrix {
-  std::size_t paa_size = 0;
-  std::size_t count = 0;
-  ts::Series data;  ///< count * paa_size values, row-major
-
-  ts::SeriesView Row(std::size_t i) const {
-    return ts::SeriesView(data.data() + i * paa_size, paa_size);
-  }
-};
-PaaMatrix PaaRows(const WindowMatrix& windows, std::size_t paa_size);
-
-/// Stage 3: symbolizes every PAA row and applies numerosity reduction.
-/// Row i's offset is i (rows are consecutive window positions).
-std::vector<SaxRecord> RecordsFromPaa(const PaaMatrix& paa, int alphabet,
-                                      bool numerosity_reduction);
 
 /// Classic SAX MINDIST lower bound between two equal-length words, scaled
 /// for original subsequence length `n` (the words must come from the same

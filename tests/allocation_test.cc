@@ -99,7 +99,7 @@ TEST(AllocationCount, CounterSeesOperatorNew) {
 // rpmbench train_archive's training: 200 CBF series per class, fixed SAX
 // 32/5/4, Sequitur discovery on 50 sampled series per class, one thread.
 TEST(AllocationCount, ArchiveShapedFixedTraining) {
-  static constexpr std::size_t kCeiling = 30943;
+  static constexpr std::size_t kCeiling = 30105;
   const ts::DatasetSplit split = ts::MakeCbf(200, 0, 128, 4242);
   core::RpmOptions opt;
   opt.search = core::ParameterSearch::kFixed;
@@ -116,7 +116,7 @@ TEST(AllocationCount, ArchiveShapedFixedTraining) {
 
 // The default DIRECT parameter search on a small CBF, one thread.
 TEST(AllocationCount, DefaultDirectTraining) {
-  static constexpr std::size_t kCeiling = 350546;
+  static constexpr std::size_t kCeiling = 266698;
   const ts::DatasetSplit split = ts::MakeCbf(10, 0, 128, 7);
   core::RpmOptions opt;
   opt.num_threads = 1;
