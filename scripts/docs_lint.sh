@@ -16,7 +16,8 @@
 # Section 7 checks that every RpmOptions::<name> the docs cite is a
 # member of the struct. Section 8 runs check 2 in reverse: every metric
 # and span docs/OBSERVABILITY.md names must still be registered in the
-# sources, so a deleted one cannot linger in the docs.
+# sources, so a deleted one cannot linger in the docs. Section 9 checks
+# that every repository path the prose docs cite still exists.
 #
 # Run from the repo root (ctest sets WORKING_DIRECTORY accordingly):
 #   scripts/docs_lint.sh
@@ -190,8 +191,68 @@ for span in $doc_spans; do
   fi
 done
 
+# --- 9. cited repository paths exist ---------------------------------
+# Every backticked path in the prose docs under src/, a module directory
+# of src/ (cited as `core/...`), tests/, bench/, scripts/ or examples/
+# must name an existing file, directory or glob match. A trailing
+# command line (`bench/micro_kernels --json`) and a `:Suite.Test` or
+# `:line` suffix are dropped first. `{h,cc}` expands to one path per
+# alternative and `name.h,.cc` to name.h and name.cc. A path without an
+# extension may name a binary built from a source of that stem
+# (`bench/table1_accuracy`).
+modules=$(cd src && ls -d */ | tr -d '/' | paste -sd '|')
+path_exists() {  # path or glob, relative to the repo root
+  compgen -G "$1" > /dev/null && return 0
+  case "${1##*/}" in
+    *.*|'') return 1 ;;
+  esac
+  compgen -G "$1.*" > /dev/null
+}
+path_refs=$(grep -noE '`[^`]+`' README.md DESIGN.md EXPERIMENTS.md docs/*.md |
+            grep -E ":\`(src|tests|bench|scripts|examples|${modules})/")
+cited_paths=0
+while IFS= read -r ref; do
+  [ -n "$ref" ] || continue
+  where=${ref%%:\`*}
+  path=${ref#*:\`}
+  path=${path%\`}
+  path=${path%% *}
+  path=${path%%:*}
+  cited=$path
+  case "$path" in
+    src/*|tests/*|bench/*|scripts/*|examples/*) ;;
+    *) path="src/${path}" ;;
+  esac
+  if [[ "$path" =~ ^(.*)\{([^}]*)\}(.*)$ ]]; then
+    IFS=',' read -ra alts <<< "${BASH_REMATCH[2]}"
+    expanded=()
+    for alt in "${alts[@]}"; do
+      expanded+=("${BASH_REMATCH[1]}${alt}${BASH_REMATCH[3]}")
+    done
+  elif [[ "$path" == *,* ]]; then
+    IFS=',' read -ra parts <<< "$path"
+    expanded=("${parts[0]}")
+    for ext in "${parts[@]:1}"; do
+      expanded+=("${parts[0]%.*}${ext}")
+    done
+  else
+    expanded=("$path")
+  fi
+  for p in "${expanded[@]}"; do
+    cited_paths=$((cited_paths + 1))
+    if ! path_exists "$p"; then
+      echo "docs_lint: ${where}: \`${cited}\` names ${p}, which does not exist"
+      fail=1
+    fi
+  done
+done <<< "$path_refs"
+if [ "$cited_paths" -eq 0 ]; then
+  echo "docs_lint: found no cited repository paths in the docs (pattern drift?)"
+  fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
   echo "docs_lint: FAILED"
   exit 1
 fi
-echo "docs_lint: OK ($(echo "$verbs" | wc -w | tr -d ' ') verbs, $(echo "$verb_bytes" | wc -w | tr -d ' ') verb bytes, $(echo "$metrics" | wc -w | tr -d ' ') metrics, $(echo "$spans" | wc -w | tr -d ' ') spans, $(echo "$opt_refs" | wc -w | tr -d ' ') option references)"
+echo "docs_lint: OK ($(echo "$verbs" | wc -w | tr -d ' ') verbs, $(echo "$verb_bytes" | wc -w | tr -d ' ') verb bytes, $(echo "$metrics" | wc -w | tr -d ' ') metrics, $(echo "$spans" | wc -w | tr -d ' ') spans, $(echo "$opt_refs" | wc -w | tr -d ' ') option references, ${cited_paths} cited paths)"
