@@ -3,118 +3,54 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <stdexcept>
 #include <unordered_map>
 
-#include "core/phase_profile.h"
+#include "baselines/shapelet_search.h"
 #include "distance/matcher.h"
 #include "sax/sax.h"
-#include "ts/parallel.h"
 #include "ts/rng.h"
-#include "ts/znorm.h"
 
 namespace rpm::baselines {
-namespace {
-
-// One sampled subsequence candidate.
-struct Candidate {
-  std::size_t series = 0;  // index into the node's instance list
-  std::size_t pos = 0;
-  std::size_t length = 0;
-  std::string word;
-  double score = 0.0;
-};
-
-double Entropy(const std::map<int, std::size_t>& hist, std::size_t total) {
-  double h = 0.0;
-  for (const auto& [label, count] : hist) {
-    if (count == 0) continue;
-    const double p = static_cast<double>(count) / static_cast<double>(total);
-    h -= p * std::log2(p);
-  }
-  return h;
-}
-
-}  // namespace
 
 void FastShapelets::Train(const ts::Dataset& train) {
   if (train.empty()) {
     throw std::invalid_argument("FastShapelets::Train: empty training set");
   }
   ts::Rng rng(options_.seed);
-
-  // Prefix-sum contexts of every training series, shared by all shapelet
-  // evaluations across the whole tree build.
-  std::vector<distance::SeriesContext> train_ctx;
-  train_ctx.reserve(train.size());
-  for (const auto& inst : train) train_ctx.emplace_back(inst.values);
+  const ShapeletSearch search(train);
 
   // Recursive node builder over index subsets.
   auto build = [&](auto&& self, std::vector<std::size_t> idx,
                    std::size_t depth) -> std::unique_ptr<Node> {
     auto node = std::make_unique<Node>();
-    std::map<int, std::size_t> hist;
-    for (std::size_t i : idx) ++hist[train[i].label];
-    // Majority label.
-    node->label = hist.begin()->first;
-    for (const auto& [label, count] : hist) {
-      if (count > hist[node->label]) node->label = label;
-    }
-    if (hist.size() == 1 || depth >= options_.max_depth ||
+    const NodeLabels labels(train, idx);
+    node->label = labels.Majority();
+    if (labels.num_classes() == 1 || depth >= options_.max_depth ||
         idx.size() < 2 * options_.min_node_size) {
       return node;
     }
 
     // --- Candidate sampling + SAX words. ---
-    const std::size_t min_len = [&] {
-      std::size_t m = train[idx[0]].values.size();
-      for (std::size_t i : idx) m = std::min(m, train[i].values.size());
-      return m;
-    }();
-    std::vector<Candidate> cands;
-    for (double frac : options_.length_fractions) {
-      const auto len = static_cast<std::size_t>(
-          std::lround(frac * static_cast<double>(min_len)));
-      if (len < 4) continue;
-      for (std::size_t s = 0; s < idx.size(); ++s) {
-        const auto& values = train[idx[s]].values;
-        if (values.size() < len) continue;
-        const std::size_t span = values.size() - len;
-        const std::size_t stride =
-            std::max<std::size_t>(1, span / options_.starts_per_series);
-        for (std::size_t p = 0; p <= span; p += stride) {
-          Candidate c;
-          c.series = s;
-          c.pos = p;
-          c.length = len;
-          ts::Series z(values.begin() + static_cast<std::ptrdiff_t>(p),
-                       values.begin() + static_cast<std::ptrdiff_t>(p + len));
-          ts::ZNormalizeInPlace(z);
-          c.word = sax::SaxWord(
-              z, std::min(options_.sax_word_length, len), options_.alphabet);
-          cands.push_back(std::move(c));
-        }
-      }
-    }
+    const std::vector<Subsequence> cands = search.Sample(
+        idx, options_.length_fractions, options_.starts_per_series);
     if (cands.empty()) return node;
+    std::vector<std::string> words;
+    words.reserve(cands.size());
+    for (const Subsequence& c : cands) {
+      words.push_back(sax::SaxWord(search.Shapelet(c),
+                                   std::min(options_.sax_word_length,
+                                            c.length),
+                                   options_.alphabet));
+    }
 
     // --- Random projection rounds: collision counting per class. ---
-    const std::vector<int> class_labels = [&] {
-      std::vector<int> out;
-      for (const auto& [label, count] : hist) out.push_back(label);
-      return out;
-    }();
-    std::map<int, std::size_t> class_index;
-    for (std::size_t c = 0; c < class_labels.size(); ++c) {
-      class_index[class_labels[c]] = c;
-    }
-    std::map<int, std::size_t> class_sizes = hist;
-
+    const std::size_t num_classes = labels.num_classes();
+    std::vector<double> scores(cands.size(), 0.0);
     for (std::size_t round = 0; round < options_.projection_rounds; ++round) {
       // Random mask positions.
       std::vector<std::size_t> mask;
-      const std::size_t word_len = cands.front().word.size();
+      const std::size_t word_len = words.front().size();
       for (std::size_t m = 0; m < options_.mask_size; ++m) {
         mask.push_back(static_cast<std::size_t>(rng.UniformInt(
             0, static_cast<std::int64_t>(word_len) - 1)));
@@ -126,18 +62,19 @@ void FastShapelets::Train(const ts::Dataset& train) {
       std::unordered_map<std::string, WordStats> table;
       std::vector<std::string> masked(cands.size());
       for (std::size_t ci = 0; ci < cands.size(); ++ci) {
-        std::string w = cands[ci].word;
+        std::string w = words[ci];
         for (std::size_t m : mask) {
           if (m < w.size()) w[m] = '*';
         }
         masked[ci] = w;
         WordStats& st = table[w];
-        if (st.per_class.empty()) st.per_class.resize(class_labels.size(), 0);
+        if (st.per_class.empty()) st.per_class.resize(num_classes, 0);
         // Count distinct series per word (candidates arrive grouped by
         // series because of the sampling order).
-        if (st.last_series != cands[ci].series) {
-          st.last_series = cands[ci].series;
-          ++st.per_class[class_index[train[idx[cands[ci].series]].label]];
+        const std::size_t series = cands[ci].series;
+        if (st.last_series != series) {
+          st.last_series = series;
+          ++st.per_class[labels.class_index(train[series].label)];
         }
       }
       // Distinguishing power: spread of per-class presence fractions.
@@ -145,14 +82,13 @@ void FastShapelets::Train(const ts::Dataset& train) {
         const WordStats& st = table[masked[ci]];
         double lo = 1.0;
         double hi = 0.0;
-        for (std::size_t c = 0; c < class_labels.size(); ++c) {
-          const double frac =
-              static_cast<double>(st.per_class[c]) /
-              static_cast<double>(class_sizes[class_labels[c]]);
+        for (std::size_t c = 0; c < num_classes; ++c) {
+          const double frac = static_cast<double>(st.per_class[c]) /
+                              static_cast<double>(labels.count(c));
           lo = std::min(lo, frac);
           hi = std::max(hi, frac);
         }
-        cands[ci].score += hi - lo;
+        scores[ci] += hi - lo;
       }
     }
 
@@ -160,107 +96,46 @@ void FastShapelets::Train(const ts::Dataset& train) {
     std::vector<std::size_t> order(cands.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     const std::size_t k = std::min(options_.top_k, order.size());
-    std::partial_sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(k),
-                      order.end(), [&](std::size_t a, std::size_t b) {
-                        return cands[a].score > cands[b].score;
-                      });
-
-    const double h_node = Entropy(hist, idx.size());
-    double best_gain = -1.0;
-    ts::Series best_shapelet;
-    double best_threshold = 0.0;
-    std::size_t best_oi = 0;
+    std::partial_sort(
+        order.begin(), order.begin() + static_cast<std::ptrdiff_t>(k),
+        order.end(),
+        [&](std::size_t a, std::size_t b) { return scores[a] > scores[b]; });
+    std::vector<Subsequence> top(k);
+    for (std::size_t oi = 0; oi < k; ++oi) top[oi] = cands[order[oi]];
     // Candidate x series distance matrix; the winner's row also routes
-    // the split below without re-scanning the node series.
-    std::vector<double> dist_matrix;
-    // Scoped per node, closed before the recursion below — nested nodes
-    // charge their own scans, so the phase counter never double-counts.
-    {
-      core::ScopedPhaseTimer scan_timer(core::PhaseProfile::kShapelets);
-      // One SoA store over the top-k survivors: each node series is
-      // swept once for all of them (window moments shared bucket-wide)
-      // instead of k individual scans. Distances are bit-identical to
-      // the per-pattern path, so gains and splits are unchanged.
-      distance::BatchMatcher eval_matcher;
-      std::vector<ts::Series> top_shapelets(k);
-      for (std::size_t oi = 0; oi < k; ++oi) {
-        const Candidate& c = cands[order[oi]];
-        const auto& src = train[idx[c.series]].values;
-        ts::Series shapelet(
-            src.begin() + static_cast<std::ptrdiff_t>(c.pos),
-            src.begin() + static_cast<std::ptrdiff_t>(c.pos + c.length));
-        ts::ZNormalizeInPlace(shapelet);
-        eval_matcher.Add(shapelet);
-        top_shapelets[oi] = std::move(shapelet);
-      }
-      dist_matrix.resize(k * idx.size());
-      ts::ParallelFor(idx.size(), ts::DefaultThreads(), [&](std::size_t t) {
-        static thread_local distance::MatchScratch scratch;
-        static thread_local std::vector<distance::BestMatch> matches;
-        eval_matcher.MatchAll(train_ctx[idx[t]], &scratch, &matches);
-        for (std::size_t oi = 0; oi < k; ++oi) {
-          dist_matrix[oi * idx.size() + t] = matches[oi].distance;
-        }
-      });
-
-      for (std::size_t oi = 0; oi < k; ++oi) {
-        // Distances from every node series to the candidate.
-        std::vector<std::pair<double, int>> dist;  // (distance, label)
-        dist.reserve(idx.size());
-        for (std::size_t t = 0; t < idx.size(); ++t) {
-          dist.emplace_back(dist_matrix[oi * idx.size() + t],
-                            train[idx[t]].label);
-        }
-        std::sort(dist.begin(), dist.end());
-        // Scan split points.
-        std::map<int, std::size_t> left_hist;
-        for (std::size_t split = 1; split < dist.size(); ++split) {
-          ++left_hist[dist[split - 1].second];
-          if (dist[split].first == dist[split - 1].first) continue;
-          std::map<int, std::size_t> right_hist;
-          for (const auto& [label, count] : hist) {
-            const auto it = left_hist.find(label);
-            const std::size_t l = it == left_hist.end() ? 0 : it->second;
-            right_hist[label] = count - l;
-          }
-          const double hl = Entropy(left_hist, split);
-          const double hr = Entropy(right_hist, dist.size() - split);
-          const double nl = static_cast<double>(split);
-          const double nr = static_cast<double>(dist.size() - split);
-          const double n = nl + nr;
-          const double gain = h_node - (nl / n * hl + nr / n * hr);
-          if (gain > best_gain) {
-            best_gain = gain;
-            best_shapelet = top_shapelets[oi];
-            best_oi = oi;
-            best_threshold =
-                0.5 * (dist[split - 1].first + dist[split].first);
-          }
+    // the split below without re-scanning the node series. The first
+    // maximum gain over (candidate, split point) wins.
+    const DistanceMatrix dist = search.Distances(top, idx);
+    Split best{-1.0};
+    std::size_t best_oi = 0;
+    for (std::size_t oi = 0; oi < k; ++oi) {
+      for (const Split& split : labels.Splits(dist.row(oi))) {
+        if (split.gain > best.gain) {
+          best = split;
+          best_oi = oi;
         }
       }
     }
-    if (best_gain <= 1e-9 || best_shapelet.empty()) return node;
+    if (best.gain <= 1e-9) return node;
 
     // Split and recurse, routing on the winner's matrix row — those are
     // the exact distances the threshold was chosen from.
     std::vector<std::size_t> left_idx;
     std::vector<std::size_t> right_idx;
     for (std::size_t t = 0; t < idx.size(); ++t) {
-      const double d = dist_matrix[best_oi * idx.size() + t];
-      (d <= best_threshold ? left_idx : right_idx).push_back(idx[t]);
+      (dist.row(best_oi)[t] <= best.threshold ? left_idx : right_idx)
+          .push_back(idx[t]);
     }
     if (left_idx.empty() || right_idx.empty()) return node;
     node->leaf = false;
-    node->shapelet = std::move(best_shapelet);
-    node->threshold = best_threshold;
+    node->shapelet = search.Shapelet(top[best_oi]);
+    node->threshold = best.threshold;
     node->left = self(self, std::move(left_idx), depth + 1);
     node->right = self(self, std::move(right_idx), depth + 1);
     return node;
   };
 
-  std::vector<std::size_t> all(train.size());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  root_ = build(build, std::move(all), 0);
+  root_ = build(build, search.all(), 0);
 
   // Flatten the tree's shapelets into one SoA store. Every node's
   // routing test `d <= threshold` is exactly `d < nextafter(threshold,
@@ -307,18 +182,7 @@ int FastShapelets::Classify(ts::SeriesView series) const {
 }
 
 std::size_t FastShapelets::num_shapelet_nodes() const {
-  std::size_t count = 0;
-  std::vector<const Node*> stack;
-  if (root_ != nullptr) stack.push_back(root_.get());
-  while (!stack.empty()) {
-    const Node* n = stack.back();
-    stack.pop_back();
-    if (n->leaf) continue;
-    ++count;
-    stack.push_back(n->left.get());
-    stack.push_back(n->right.get());
-  }
-  return count;
+  return CountInternalNodes(root_.get());
 }
 
 const ts::Series& FastShapelets::root_shapelet() const {

@@ -1,139 +1,55 @@
 #include "baselines/logical_shapelets.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <map>
+#include <span>
 #include <stdexcept>
 
+#include "baselines/shapelet_search.h"
 #include "distance/euclidean.h"
-#include "ts/znorm.h"
 
 namespace rpm::baselines {
-namespace {
-
-double Entropy(const std::map<int, std::size_t>& hist, std::size_t total) {
-  double h = 0.0;
-  for (const auto& [label, count] : hist) {
-    if (count == 0) continue;
-    const double p = static_cast<double>(count) / static_cast<double>(total);
-    h -= p * std::log2(p);
-  }
-  return h;
-}
-
-// Gain of a boolean partition given per-side label histograms.
-double PartitionGain(const std::map<int, std::size_t>& hist,
-                     const std::map<int, std::size_t>& true_side,
-                     std::size_t n_true, std::size_t n_total) {
-  if (n_true == 0 || n_true == n_total) return 0.0;
-  std::map<int, std::size_t> false_side;
-  for (const auto& [label, count] : hist) {
-    const auto it = true_side.find(label);
-    false_side[label] = count - (it == true_side.end() ? 0 : it->second);
-  }
-  const double h = Entropy(hist, n_total);
-  const double nt = static_cast<double>(n_true);
-  const double nf = static_cast<double>(n_total - n_true);
-  const double n = nt + nf;
-  return h - (nt / n * Entropy(true_side, n_true) +
-              nf / n * Entropy(false_side, n_total - n_true));
-}
-
-struct SingleCandidate {
-  double gain = -1.0;
-  double threshold = 0.0;
-  std::size_t candidate_index = 0;
-  std::vector<double> distances;  // to every node instance
-};
-
-}  // namespace
 
 void LogicalShapelets::Train(const ts::Dataset& train) {
   if (train.empty()) {
     throw std::invalid_argument(
         "LogicalShapelets::Train: empty training set");
   }
+  const ShapeletSearch search(train);
 
   auto build = [&](auto&& self, std::vector<std::size_t> idx,
                    std::size_t depth) -> std::unique_ptr<Node> {
     auto node = std::make_unique<Node>();
-    std::map<int, std::size_t> hist;
-    for (std::size_t i : idx) ++hist[train[i].label];
-    node->label = hist.begin()->first;
-    for (const auto& [label, count] : hist) {
-      if (count > hist[node->label]) node->label = label;
-    }
-    if (hist.size() == 1 || depth >= options_.max_depth ||
+    const NodeLabels labels(train, idx);
+    node->label = labels.Majority();
+    if (labels.num_classes() == 1 || depth >= options_.max_depth ||
         idx.size() < 2 * options_.min_node_size) {
       return node;
     }
 
-    std::size_t min_len = train[idx[0]].values.size();
-    for (std::size_t i : idx) {
-      min_len = std::min(min_len, train[i].values.size());
-    }
-
-    // Enumerate candidates, evaluate single-shapelet gains.
-    std::vector<ts::Series> candidates;
-    for (double frac : options_.length_fractions) {
-      const auto len = static_cast<std::size_t>(
-          std::lround(frac * static_cast<double>(min_len)));
-      if (len < 4) continue;
-      for (std::size_t s : idx) {
-        const auto& values = train[s].values;
-        if (values.size() < len) continue;
-        const std::size_t span = values.size() - len;
-        const std::size_t stride =
-            std::max<std::size_t>(1, span / options_.starts_per_series);
-        for (std::size_t p = 0; p <= span; p += stride) {
-          ts::Series cand(
-              values.begin() + static_cast<std::ptrdiff_t>(p),
-              values.begin() + static_cast<std::ptrdiff_t>(p + len));
-          ts::ZNormalizeInPlace(cand);
-          candidates.push_back(std::move(cand));
-        }
+    // Score every candidate by its best single-threshold gain (the
+    // first maximum).
+    const std::vector<Subsequence> cands = search.Sample(
+        idx, options_.length_fractions, options_.starts_per_series);
+    if (cands.empty()) return node;
+    const DistanceMatrix dist = search.Distances(cands, idx);
+    struct Scored {
+      Split split;
+      std::size_t cand = 0;
+    };
+    std::vector<Scored> scored(cands.size());
+    for (std::size_t c = 0; c < cands.size(); ++c) {
+      scored[c] = {{-1.0}, c};
+      for (const Split& split : labels.Splits(dist.row(c))) {
+        if (split.gain > scored[c].split.gain) scored[c].split = split;
       }
-    }
-    if (candidates.empty()) return node;
-
-    std::vector<SingleCandidate> scored;
-    scored.reserve(candidates.size());
-    for (std::size_t c = 0; c < candidates.size(); ++c) {
-      SingleCandidate sc;
-      sc.candidate_index = c;
-      sc.distances.reserve(idx.size());
-      for (std::size_t i : idx) {
-        sc.distances.push_back(
-            distance::FindBestMatch(candidates[c], train[i].values)
-                .distance);
-      }
-      // Best threshold by information gain.
-      std::vector<std::pair<double, int>> dist;
-      dist.reserve(idx.size());
-      for (std::size_t k = 0; k < idx.size(); ++k) {
-        dist.emplace_back(sc.distances[k], train[idx[k]].label);
-      }
-      std::sort(dist.begin(), dist.end());
-      std::map<int, std::size_t> left;
-      for (std::size_t split = 1; split < dist.size(); ++split) {
-        ++left[dist[split - 1].second];
-        if (dist[split].first == dist[split - 1].first) continue;
-        const double gain = PartitionGain(hist, left, split, dist.size());
-        if (gain > sc.gain) {
-          sc.gain = gain;
-          sc.threshold =
-              0.5 * (dist[split - 1].first + dist[split].first);
-        }
-      }
-      scored.push_back(std::move(sc));
     }
     std::sort(scored.begin(), scored.end(),
-              [](const SingleCandidate& a, const SingleCandidate& b) {
-                return a.gain > b.gain;
+              [](const Scored& a, const Scored& b) {
+                return a.split.gain > b.split.gain;
               });
-    const SingleCandidate& best1 = scored.front();
+    const Split& best1 = scored.front().split;
     if (best1.gain <= 1e-9) return node;
+    const std::span<const double> dist1 = dist.row(scored.front().cand);
 
     // Try to extend the best single shapelet with a second one under AND
     // and OR, over the top-k runners-up.
@@ -144,31 +60,30 @@ void LogicalShapelets::Train(const ts::Dataset& train) {
     const std::size_t k2 = std::min(options_.combine_top_k + 1,
                                     scored.size());
     for (std::size_t r = 1; r < k2; ++r) {
-      const SingleCandidate& cand2 = scored[r];
-      // Sweep cand2's threshold over its distinct distances.
-      std::vector<double> t2s = cand2.distances;
+      const std::span<const double> dist2 = dist.row(scored[r].cand);
+      // Sweep the runner-up's threshold over its distinct distances.
+      std::vector<double> t2s(dist2.begin(), dist2.end());
       std::sort(t2s.begin(), t2s.end());
       t2s.erase(std::unique(t2s.begin(), t2s.end()), t2s.end());
       for (double t2 : t2s) {
-        std::map<int, std::size_t> and_true;
-        std::map<int, std::size_t> or_true;
+        std::vector<std::size_t> and_true(labels.num_classes(), 0);
+        std::vector<std::size_t> or_true(labels.num_classes(), 0);
         std::size_t n_and = 0;
         std::size_t n_or = 0;
         for (std::size_t k = 0; k < idx.size(); ++k) {
-          const bool p1 = best1.distances[k] <= best1.threshold;
-          const bool p2 = cand2.distances[k] <= t2;
+          const bool p1 = dist1[k] <= best1.threshold;
+          const bool p2 = dist2[k] <= t2;
           if (p1 && p2) {
-            ++and_true[train[idx[k]].label];
+            ++and_true[labels.class_of(k)];
             ++n_and;
           }
           if (p1 || p2) {
-            ++or_true[train[idx[k]].label];
+            ++or_true[labels.class_of(k)];
             ++n_or;
           }
         }
-        const double g_and =
-            PartitionGain(hist, and_true, n_and, idx.size());
-        const double g_or = PartitionGain(hist, or_true, n_or, idx.size());
+        const double g_and = labels.Gain(and_true, n_and);
+        const double g_or = labels.Gain(or_true, n_or);
         if (g_and > best_gain + 1e-9) {
           best_gain = g_and;
           best_conn = Connective::kAnd;
@@ -184,40 +99,34 @@ void LogicalShapelets::Train(const ts::Dataset& train) {
       }
     }
 
-    node->shapelet1 = candidates[best1.candidate_index];
-    node->threshold1 = best1.threshold;
-    node->connective = best_conn;
-    if (best_conn != Connective::kSingle) {
-      node->shapelet2 = candidates[scored[best_partner].candidate_index];
-      node->threshold2 = best_t2;
-    }
-
     std::vector<std::size_t> true_idx;
     std::vector<std::size_t> false_idx;
+    const std::span<const double> partner =
+        dist.row(scored[best_partner].cand);
     for (std::size_t k = 0; k < idx.size(); ++k) {
-      const bool p1 = best1.distances[k] <= best1.threshold;
+      const bool p1 = dist1[k] <= best1.threshold;
       bool pred = p1;
       if (best_conn != Connective::kSingle) {
-        const bool p2 =
-            scored[best_partner].distances[k] <= best_t2;
+        const bool p2 = partner[k] <= best_t2;
         pred = (best_conn == Connective::kAnd) ? (p1 && p2) : (p1 || p2);
       }
       (pred ? true_idx : false_idx).push_back(idx[k]);
     }
-    if (true_idx.empty() || false_idx.empty()) {
-      node->shapelet1.clear();
-      node->shapelet2.clear();
-      return node;
-    }
+    if (true_idx.empty() || false_idx.empty()) return node;
     node->leaf = false;
+    node->connective = best_conn;
+    node->shapelet1 = search.Shapelet(cands[scored.front().cand]);
+    node->threshold1 = best1.threshold;
+    if (best_conn != Connective::kSingle) {
+      node->shapelet2 = search.Shapelet(cands[scored[best_partner].cand]);
+      node->threshold2 = best_t2;
+    }
     node->left = self(self, std::move(true_idx), depth + 1);
     node->right = self(self, std::move(false_idx), depth + 1);
     return node;
   };
 
-  std::vector<std::size_t> all(train.size());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  root_ = build(build, std::move(all), 0);
+  root_ = build(build, search.all(), 0);
 }
 
 bool LogicalShapelets::Predicate(const Node& node,
@@ -244,33 +153,13 @@ int LogicalShapelets::Classify(ts::SeriesView series) const {
 }
 
 std::size_t LogicalShapelets::num_logical_nodes() const {
-  std::size_t count = 0;
-  std::vector<const Node*> stack;
-  if (root_ != nullptr) stack.push_back(root_.get());
-  while (!stack.empty()) {
-    const Node* n = stack.back();
-    stack.pop_back();
-    if (n->leaf) continue;
-    if (n->connective != Connective::kSingle) ++count;
-    stack.push_back(n->left.get());
-    stack.push_back(n->right.get());
-  }
-  return count;
+  return CountInternalNodes(root_.get(), [](const Node& n) {
+    return n.connective != Connective::kSingle;
+  });
 }
 
 std::size_t LogicalShapelets::num_shapelet_nodes() const {
-  std::size_t count = 0;
-  std::vector<const Node*> stack;
-  if (root_ != nullptr) stack.push_back(root_.get());
-  while (!stack.empty()) {
-    const Node* n = stack.back();
-    stack.pop_back();
-    if (n->leaf) continue;
-    ++count;
-    stack.push_back(n->left.get());
-    stack.push_back(n->right.get());
-  }
-  return count;
+  return CountInternalNodes(root_.get());
 }
 
 }  // namespace rpm::baselines

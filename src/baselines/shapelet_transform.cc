@@ -1,62 +1,12 @@
 #include "baselines/shapelet_transform.h"
 
 #include <algorithm>
-#include <cmath>
-#include <map>
 #include <stdexcept>
 
-#include "core/phase_profile.h"
+#include "baselines/shapelet_search.h"
 #include "distance/matcher.h"
-#include "ts/parallel.h"
-#include "ts/znorm.h"
 
 namespace rpm::baselines {
-namespace {
-
-double Entropy(const std::map<int, std::size_t>& hist, std::size_t total) {
-  double h = 0.0;
-  for (const auto& [label, count] : hist) {
-    if (count == 0) continue;
-    const double p = static_cast<double>(count) / static_cast<double>(total);
-    h -= p * std::log2(p);
-  }
-  return h;
-}
-
-// Best information gain over all split points of (distance, label) pairs.
-double BestInfoGain(std::vector<std::pair<double, int>> dist,
-                    const std::map<int, std::size_t>& hist) {
-  std::sort(dist.begin(), dist.end());
-  const double h_node = Entropy(hist, dist.size());
-  double best = 0.0;
-  std::map<int, std::size_t> left;
-  for (std::size_t split = 1; split < dist.size(); ++split) {
-    ++left[dist[split - 1].second];
-    if (dist[split].first == dist[split - 1].first) continue;
-    std::map<int, std::size_t> right;
-    for (const auto& [label, count] : hist) {
-      const auto it = left.find(label);
-      right[label] = count - (it == left.end() ? 0 : it->second);
-    }
-    const double nl = static_cast<double>(split);
-    const double nr = static_cast<double>(dist.size() - split);
-    const double n = nl + nr;
-    const double gain =
-        h_node - (nl / n * Entropy(left, split) +
-                  nr / n * Entropy(right, dist.size() - split));
-    best = std::max(best, gain);
-  }
-  return best;
-}
-
-struct ScoredCandidate {
-  double gain = 0.0;
-  std::size_t series = 0;
-  std::size_t pos = 0;
-  std::size_t length = 0;
-};
-
-}  // namespace
 
 void ShapeletTransform::Train(const ts::Dataset& train) {
   if (train.empty()) {
@@ -66,115 +16,50 @@ void ShapeletTransform::Train(const ts::Dataset& train) {
   shapelets_.clear();
   matcher_ = distance::BatchMatcher{};
 
-  std::map<int, std::size_t> hist;
-  for (const auto& inst : train) ++hist[inst.label];
+  const ShapeletSearch search(train);
+  const NodeLabels labels(train, search.all());
   // Majority label doubles as the degenerate fallback.
-  lone_label_ = hist.begin()->first;
-  for (const auto& [label, count] : hist) {
-    if (count > hist.at(lone_label_)) lone_label_ = label;
-  }
+  lone_label_ = labels.Majority();
   trained_ = true;
-  if (hist.size() == 1) return;
+  if (labels.num_classes() == 1) return;
 
-  // Score sampled candidates by whole-train information gain. Every
-  // candidate scans every training series, so the candidates are
-  // gathered into one SoA pattern store and each series is swept ONCE
-  // for all of them (window moments shared bucket-wide) instead of
-  // running K x N individual scans; the distances are bit-identical to
-  // the per-pattern path, so the gains — and the selected shapelets —
-  // are unchanged.
-  std::vector<distance::SeriesContext> train_ctx;
-  train_ctx.reserve(train.size());
-  for (const auto& inst : train) train_ctx.emplace_back(inst.values);
-
-  const std::size_t min_len = train.MinLength();
-  std::vector<ScoredCandidate> scored;
-  {
-    core::ScopedPhaseTimer scan_timer(core::PhaseProfile::kShapelets);
-    std::vector<ScoredCandidate> sampled;  // gain filled after the sweep
-    distance::BatchMatcher cand_matcher;
-    for (double frac : options_.length_fractions) {
-      const auto len = static_cast<std::size_t>(
-          std::lround(frac * static_cast<double>(min_len)));
-      if (len < 4) continue;
-      for (std::size_t s = 0; s < train.size(); ++s) {
-        const auto& values = train[s].values;
-        if (values.size() < len) continue;
-        const std::size_t span = values.size() - len;
-        const std::size_t stride =
-            std::max<std::size_t>(1, span / options_.starts_per_series);
-        for (std::size_t p = 0; p <= span; p += stride) {
-          ts::Series cand(
-              values.begin() + static_cast<std::ptrdiff_t>(p),
-              values.begin() + static_cast<std::ptrdiff_t>(p + len));
-          ts::ZNormalizeInPlace(cand);
-          cand_matcher.Add(cand);
-          sampled.push_back({0.0, s, p, len});
-        }
-      }
-    }
-
-    // Candidate x series distance matrix: one batched MatchAll per
-    // training series (series sharded across the thread pool — each
-    // worker writes its own column).
-    const std::size_t num_cands = cand_matcher.size();
-    std::vector<double> dist_matrix(num_cands * train.size());
-    ts::ParallelFor(train.size(), ts::DefaultThreads(), [&](std::size_t i) {
-      static thread_local distance::MatchScratch scratch;
-      static thread_local std::vector<distance::BestMatch> matches;
-      cand_matcher.MatchAll(train_ctx[i], &scratch, &matches);
-      for (std::size_t c = 0; c < num_cands; ++c) {
-        dist_matrix[c * train.size() + i] = matches[c].distance;
-      }
-    });
-
-    scored.reserve(num_cands);
-    for (std::size_t c = 0; c < num_cands; ++c) {
-      std::vector<std::pair<double, int>> dist;
-      dist.reserve(train.size());
-      for (std::size_t i = 0; i < train.size(); ++i) {
-        dist.emplace_back(dist_matrix[c * train.size() + i],
-                          train[i].label);
-      }
-      ScoredCandidate sc = sampled[c];
-      sc.gain = BestInfoGain(std::move(dist), hist);
-      scored.push_back(sc);
+  // Score sampled candidates by whole-train information gain: the
+  // highest gain over a candidate's split points, 0 when none gains.
+  const std::vector<Subsequence> cands = search.Sample(
+      search.all(), options_.length_fractions, options_.starts_per_series);
+  const DistanceMatrix dist = search.Distances(cands, search.all());
+  struct Scored {
+    double gain = 0.0;
+    Subsequence cand;
+  };
+  std::vector<Scored> scored(cands.size());
+  for (std::size_t c = 0; c < cands.size(); ++c) {
+    scored[c].cand = cands[c];
+    for (const Split& split : labels.Splits(dist.row(c))) {
+      scored[c].gain = std::max(scored[c].gain, split.gain);
     }
   }
   std::sort(scored.begin(), scored.end(),
-            [](const ScoredCandidate& a, const ScoredCandidate& b) {
-              return a.gain > b.gain;
-            });
+            [](const Scored& a, const Scored& b) { return a.gain > b.gain; });
 
-  // Greedy selection with self-similarity pruning.
-  struct Claimed {
-    std::size_t series;
-    std::size_t lo;
-    std::size_t hi;
-  };
-  std::vector<Claimed> claimed;
-  for (const auto& c : scored) {
+  // Greedy selection, skipping candidates that overlap an accepted
+  // shapelet of the same series.
+  std::vector<Subsequence> accepted;
+  for (const Scored& s : scored) {
     if (shapelets_.size() >= options_.num_shapelets) break;
-    if (c.gain <= 0.0) break;
-    if (options_.prune_self_similar) {
-      bool overlaps = false;
-      for (const auto& cl : claimed) {
-        if (cl.series == c.series && c.pos < cl.hi &&
-            cl.lo < c.pos + c.length) {
-          overlaps = true;
-          break;
-        }
-      }
-      if (overlaps) continue;
+    if (s.gain <= 0.0) break;
+    const Subsequence& c = s.cand;
+    if (std::any_of(accepted.begin(), accepted.end(),
+                    [&](const Subsequence& a) {
+                      return a.series == c.series &&
+                             c.pos < a.pos + a.length &&
+                             a.pos < c.pos + c.length;
+                    })) {
+      continue;
     }
-    const auto& values = train[c.series].values;
-    ts::Series shapelet(
-        values.begin() + static_cast<std::ptrdiff_t>(c.pos),
-        values.begin() + static_cast<std::ptrdiff_t>(c.pos + c.length));
-    ts::ZNormalizeInPlace(shapelet);
-    matcher_.Add(shapelet);
-    shapelets_.push_back(std::move(shapelet));
-    claimed.push_back({c.series, c.pos, c.pos + c.length});
+    shapelets_.push_back(search.Shapelet(c));
+    matcher_.Add(shapelets_.back());
+    accepted.push_back(c);
   }
   if (shapelets_.empty()) return;  // Majority fallback stays in force.
 

@@ -9,7 +9,6 @@
 #ifndef RPM_BASELINES_SHAPELET_TRANSFORM_H_
 #define RPM_BASELINES_SHAPELET_TRANSFORM_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "baselines/classifier.h"
@@ -25,11 +24,7 @@ struct ShapeletTransformOptions {
   std::vector<double> length_fractions = {0.15, 0.3, 0.45};
   /// Sampled start positions per series per length.
   std::size_t starts_per_series = 12;
-  /// Self-similarity pruning: candidates from the same series whose
-  /// positions overlap an already-accepted shapelet are skipped.
-  bool prune_self_similar = true;
   ml::SvmOptions svm;
-  std::uint64_t seed = 5;
 };
 
 class ShapeletTransform : public Classifier {

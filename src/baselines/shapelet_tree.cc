@@ -1,152 +1,65 @@
 #include "baselines/shapelet_tree.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-#include <map>
 #include <stdexcept>
 
+#include "baselines/shapelet_search.h"
 #include "distance/euclidean.h"
-#include "ts/znorm.h"
 
 namespace rpm::baselines {
-namespace {
-
-double Entropy(const std::map<int, std::size_t>& hist, std::size_t total) {
-  double h = 0.0;
-  for (const auto& [label, count] : hist) {
-    if (count == 0) continue;
-    const double p = static_cast<double>(count) / static_cast<double>(total);
-    h -= p * std::log2(p);
-  }
-  return h;
-}
-
-struct Split {
-  double gain = -1.0;
-  /// Margin between the split halves, the original paper's tie-breaker
-  /// ("maximum separation gap").
-  double gap = 0.0;
-  double threshold = 0.0;
-};
-
-// Best information-gain split of sorted (distance, label) pairs.
-Split BestSplit(std::vector<std::pair<double, int>>& dist,
-                const std::map<int, std::size_t>& hist) {
-  std::sort(dist.begin(), dist.end());
-  const double h_node = Entropy(hist, dist.size());
-  Split best;
-  std::map<int, std::size_t> left;
-  for (std::size_t split = 1; split < dist.size(); ++split) {
-    ++left[dist[split - 1].second];
-    if (dist[split].first == dist[split - 1].first) continue;
-    std::map<int, std::size_t> right;
-    for (const auto& [label, count] : hist) {
-      const auto it = left.find(label);
-      right[label] = count - (it == left.end() ? 0 : it->second);
-    }
-    const double nl = static_cast<double>(split);
-    const double nr = static_cast<double>(dist.size() - split);
-    const double n = nl + nr;
-    const double gain =
-        h_node - (nl / n * Entropy(left, split) +
-                  nr / n * Entropy(right, dist.size() - split));
-    const double gap = dist[split].first - dist[split - 1].first;
-    if (gain > best.gain || (gain == best.gain && gap > best.gap)) {
-      best.gain = gain;
-      best.gap = gap;
-      best.threshold = 0.5 * (dist[split - 1].first + dist[split].first);
-    }
-  }
-  return best;
-}
-
-}  // namespace
 
 void ShapeletTree::Train(const ts::Dataset& train) {
   if (train.empty()) {
     throw std::invalid_argument("ShapeletTree::Train: empty training set");
   }
+  const ShapeletSearch search(train);
 
   auto build = [&](auto&& self, std::vector<std::size_t> idx,
                    std::size_t depth) -> std::unique_ptr<Node> {
     auto node = std::make_unique<Node>();
-    std::map<int, std::size_t> hist;
-    for (std::size_t i : idx) ++hist[train[i].label];
-    node->label = hist.begin()->first;
-    for (const auto& [label, count] : hist) {
-      if (count > hist[node->label]) node->label = label;
-    }
-    if (hist.size() == 1 || depth >= options_.max_depth ||
+    const NodeLabels labels(train, idx);
+    node->label = labels.Majority();
+    if (labels.num_classes() == 1 || depth >= options_.max_depth ||
         idx.size() < 2 * options_.min_node_size) {
       return node;
     }
 
-    std::size_t min_len = train[idx[0]].values.size();
-    for (std::size_t i : idx) {
-      min_len = std::min(min_len, train[i].values.size());
-    }
-
-    double best_gain = 0.0;
-    double best_gap = 0.0;
-    ts::Series best_shapelet;
-    double best_threshold = 0.0;
     // Direct information-gain scoring of every (stride-bounded)
-    // candidate — the Ye & Keogh search shape.
-    for (double frac : options_.length_fractions) {
-      const auto len = static_cast<std::size_t>(
-          std::lround(frac * static_cast<double>(min_len)));
-      if (len < 4) continue;
-      for (std::size_t s : idx) {
-        const auto& values = train[s].values;
-        if (values.size() < len) continue;
-        const std::size_t span = values.size() - len;
-        const std::size_t stride =
-            std::max<std::size_t>(1, span / options_.starts_per_series);
-        for (std::size_t p = 0; p <= span; p += stride) {
-          ts::Series cand(
-              values.begin() + static_cast<std::ptrdiff_t>(p),
-              values.begin() + static_cast<std::ptrdiff_t>(p + len));
-          ts::ZNormalizeInPlace(cand);
-          std::vector<std::pair<double, int>> dist;
-          dist.reserve(idx.size());
-          for (std::size_t i : idx) {
-            dist.emplace_back(
-                distance::FindBestMatch(cand, train[i].values).distance,
-                train[i].label);
-          }
-          const Split split = BestSplit(dist, hist);
-          if (split.gain > best_gain ||
-              (split.gain == best_gain && split.gap > best_gap)) {
-            best_gain = split.gain;
-            best_gap = split.gap;
-            best_threshold = split.threshold;
-            best_shapelet = std::move(cand);
-          }
+    // candidate — the Ye & Keogh search shape: the higher gain wins,
+    // then the wider gap.
+    const std::vector<Subsequence> cands = search.Sample(
+        idx, options_.length_fractions, options_.starts_per_series);
+    const DistanceMatrix dist = search.Distances(cands, idx);
+    Split best;
+    std::size_t best_cand = 0;
+    for (std::size_t c = 0; c < cands.size(); ++c) {
+      for (const Split& split : labels.Splits(dist.row(c))) {
+        if (split.gain > best.gain ||
+            (split.gain == best.gain && split.gap > best.gap)) {
+          best = split;
+          best_cand = c;
         }
       }
     }
-    if (best_gain <= 1e-9 || best_shapelet.empty()) return node;
+    if (best.gain <= 1e-9) return node;
 
+    // Route on the winner's matrix row: the distances the threshold was
+    // chosen from.
     std::vector<std::size_t> left_idx;
     std::vector<std::size_t> right_idx;
-    for (std::size_t i : idx) {
-      const double d =
-          distance::FindBestMatch(best_shapelet, train[i].values).distance;
-      (d <= best_threshold ? left_idx : right_idx).push_back(i);
+    for (std::size_t k = 0; k < idx.size(); ++k) {
+      (dist.row(best_cand)[k] <= best.threshold ? left_idx : right_idx)
+          .push_back(idx[k]);
     }
     if (left_idx.empty() || right_idx.empty()) return node;
     node->leaf = false;
-    node->shapelet = std::move(best_shapelet);
-    node->threshold = best_threshold;
+    node->shapelet = search.Shapelet(cands[best_cand]);
+    node->threshold = best.threshold;
     node->left = self(self, std::move(left_idx), depth + 1);
     node->right = self(self, std::move(right_idx), depth + 1);
     return node;
   };
 
-  std::vector<std::size_t> all(train.size());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  root_ = build(build, std::move(all), 0);
+  root_ = build(build, search.all(), 0);
 }
 
 int ShapeletTree::Classify(ts::SeriesView series) const {
@@ -163,18 +76,7 @@ int ShapeletTree::Classify(ts::SeriesView series) const {
 }
 
 std::size_t ShapeletTree::num_shapelet_nodes() const {
-  std::size_t count = 0;
-  std::vector<const Node*> stack;
-  if (root_ != nullptr) stack.push_back(root_.get());
-  while (!stack.empty()) {
-    const Node* n = stack.back();
-    stack.pop_back();
-    if (n->leaf) continue;
-    ++count;
-    stack.push_back(n->left.get());
-    stack.push_back(n->right.get());
-  }
-  return count;
+  return CountInternalNodes(root_.get());
 }
 
 }  // namespace rpm::baselines

@@ -4,11 +4,13 @@
 // which uses the shapelet similarity as the splitting criterion").
 //
 // Unlike Fast Shapelets (random-projection filtering), this classifier
-// scores candidates *directly* by information gain, with two of the
-// original paper's accelerations: entropy-based candidate ordering is
-// replaced by a stride-bounded candidate enumeration (the exhaustive
-// O(n^2 m^3) search is intractable by design), and distance computation
-// early-abandons against the best-so-far gain's split band.
+// scores every candidate *directly* by information gain. The exhaustive
+// O(n^2 m^3) search is intractable by design, so the candidates are a
+// stride-bounded enumeration, and neither of the original paper's
+// accelerations (early abandoning against the best-so-far gain, entropy
+// pruning) is implemented: each node computes every candidate's exact
+// closest-match distance to every node series in one batched distance
+// matrix (baselines/shapelet_search.h).
 
 #ifndef RPM_BASELINES_SHAPELET_TREE_H_
 #define RPM_BASELINES_SHAPELET_TREE_H_
